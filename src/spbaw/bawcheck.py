@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import labelspace as ls, partcomb, symbcomb
 from .ffpoly import frobenius_class
-from .labelspace import (BlockLabel, IBrLabel, WeightLabelK, WeightLabelQ,
-                         block_classes, block_of_ibr, is_x_minus, is_x_plus,
+from .labelspace import (BlockLabel, IBrLabel, WeightLabelQ, block_classes,
+                         block_of_ibr, check, is_x_minus, is_x_plus,
                          x_plus_class)
 
 
@@ -65,7 +65,7 @@ def brauer_to_weight(ctx, ib):
     block = block_of_ibr(ctx, ib)
     e, mode = ctx.e, ctx.mode
     entries = []
-    for pc in block_classes(ctx, block):
+    for pc in block_classes(ctx, block.s):
         lam = ib.part_of(pc)
         kappa = block.core_of(pc)
         if pc.family != "F0":
@@ -95,7 +95,7 @@ def weight_to_brauer(ctx, wq):
     xp = x_plus_class(ctx)
     entries = []
     j, j_collapsed = block.i, False
-    for pc in block_classes(ctx, block):
+    for pc in block_classes(ctx, block.s):
         q = wq.q_of(pc)
         kappa = block.core_of(pc)
         if q is None or len(q) != ls.branch_count(ctx, pc):
@@ -167,30 +167,16 @@ def _flip_half(seq):
     return seq[e:] + seq[:e]
 
 
-def act_on_weight_q(ctx, action, wq):
-    new_block = act_on_block(ctx, action, wq.block)
-    if action.kind == "field":
-        return WeightLabelQ(block=new_block,
-                            q=_relabel_assignment(ctx, action.power, wq.q))
-    entries = tuple((pc, _flip_half(v) if is_x_plus(pc, ctx) else v)
-                    for pc, v in wq.q)
-    return WeightLabelQ(block=new_block, q=entries)
-
-
-def act_on_weight_k(ctx, action, wk):
-    new_block = act_on_block(ctx, action, wk.block)
-    if action.kind == "field":
-        return WeightLabelK(block=new_block,
-                            k=_relabel_assignment(ctx, action.power, wk.k))
-    entries = tuple((pc, _flip_half(v) if is_x_plus(pc, ctx) else v)
-                    for pc, v in wk.k)
-    return WeightLabelK(block=new_block, k=entries)
-
-
 def act_on_weight(ctx, action, w):
-    if isinstance(w, WeightLabelQ):
-        return act_on_weight_q(ctx, action, w)
-    return act_on_weight_k(ctx, action, w)
+    """The action on a weight label in Q-form or K-form: field(i) relabels
+    the divisors, diagonal swaps the two halves of the X+1 sequence."""
+    entries = w.q if isinstance(w, WeightLabelQ) else w.k
+    if action.kind == "field":
+        entries = _relabel_assignment(ctx, action.power, entries)
+    else:
+        entries = tuple((pc, _flip_half(v) if is_x_plus(pc, ctx) else v)
+                        for pc, v in entries)
+    return type(w)(act_on_block(ctx, action, w.block), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +214,7 @@ def verify_equivariance_of_block(ctx, block, generators):
         w = brauer_to_weight(ctx, ib)
         for gen in generators:
             lhs = brauer_to_weight(ctx, act_on_ibr(ctx, gen, ib))
-            rhs = act_on_weight_q(ctx, gen, w)
+            rhs = act_on_weight(ctx, gen, w)
             if lhs != rhs:
                 violations.append({"generator": gen.kind + (str(gen.power) if gen.kind == "field" else ""),
                                    "ibr": ls.ibr_jsonable(ib),
@@ -259,21 +245,15 @@ def verify_action_laws(ctx, n):
     ibrs = [ib for b in blocks for ib in ls.enumerate_ibr(ctx, b)]
     weights = [w for b in blocks for w in ls.enumerate_weights_q(ctx, b)]
     f1, d = FIELD(1), DIAGONAL
-    for ib in ibrs:
-        assert act_on_ibr(ctx, d, act_on_ibr(ctx, d, ib)) == ib
-        a = act_on_ibr(ctx, f1, act_on_ibr(ctx, f1, ib))
-        assert a == act_on_ibr(ctx, FIELD(2), ib)
-        assert act_on_ibr(ctx, FIELD(0), ib) == ib
-        assert act_on_ibr(ctx, FIELD(ctx.f), ib) == ib
-        assert act_on_ibr(ctx, d, act_on_ibr(ctx, f1, ib)) == \
-            act_on_ibr(ctx, f1, act_on_ibr(ctx, d, ib))
-    for w in weights:
-        assert act_on_weight_q(ctx, d, act_on_weight_q(ctx, d, w)) == w
-        a = act_on_weight_q(ctx, f1, act_on_weight_q(ctx, f1, w))
-        assert a == act_on_weight_q(ctx, FIELD(2), w)
-        assert act_on_weight_q(ctx, FIELD(0), w) == w
-        assert act_on_weight_q(ctx, d, act_on_weight_q(ctx, f1, w)) == \
-            act_on_weight_q(ctx, f1, act_on_weight_q(ctx, d, w))
+    for act, labels in ((act_on_ibr, ibrs), (act_on_weight, weights)):
+        for x in labels:
+            check(act(ctx, d, act(ctx, d, x)) == x, "diagonal^2 != id")
+            check(act(ctx, f1, act(ctx, f1, x)) == act(ctx, FIELD(2), x),
+                  "field(1)^2 != field(2)")
+            check(act(ctx, FIELD(0), x) == x, "field(0) != id")
+            check(act(ctx, FIELD(ctx.f), x) == x, "field(f) != id")
+            check(act(ctx, d, act(ctx, f1, x)) == act(ctx, f1, act(ctx, d, x)),
+                  "diagonal and field(1) do not commute")
     return True
 
 

@@ -29,17 +29,21 @@ def _context_jsonable(ctx):
             "e": ctx.e, "epsilon": ctx.epsilon}
 
 
-def _estimated_frontier(p, f, n):
-    return (p ** f) ** (2 * n + 1)
-
-
-def _check_work_limit(args):
-    est = _estimated_frontier(args.p, args.f, args.n)
-    if est > args.work_limit:
+def _check_work_limit(p, f, n, work_limit):
+    est = (p ** f) ** (2 * n + 1)   # the enumeration frontier
+    if est > work_limit:
         raise ValueError(
             f"refusing to run: estimated enumeration frontier {est} exceeds "
-            f"the work limit {args.work_limit}; rerun with a larger --work-limit "
+            f"the work limit {work_limit}; rerun with a larger --work-limit "
             f"if this size is intended")
+
+
+def _parse_checks(text):
+    checks = set(text.split(",")) if text else set(ALL_CHECKS)
+    unknown = checks - set(ALL_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    return checks
 
 
 def _run_blocks(ctx, n, checks, jobs):
@@ -58,7 +62,7 @@ def _run_blocks(ctx, n, checks, jobs):
                 try:
                     for wk in ls.enumerate_weights_k(ctx, block):
                         ls.audit_weight_label(ctx, wk, n)
-                except AssertionError:
+                except ls.CheckFailed:
                     ok = False
                 rec["invariants_ok"] = ok
         return rec
@@ -109,7 +113,7 @@ def _build_report(ctx, n, checks, jobs):
         try:
             bc.verify_action_laws(ctx, n)
             report["summary"]["action_laws_ok"] = True
-        except AssertionError:
+        except ls.CheckFailed:
             report["summary"]["action_laws_ok"] = False
             report["summary"]["all_pass"] = False
     return report
@@ -155,7 +159,7 @@ def _emit(text, out):
 
 
 def cmd_blocks(args):
-    _check_work_limit(args)
+    _check_work_limit(args.p, args.f, args.n, args.work_limit)
     ctx = make_context(args.p, args.f, args.ell)
     report = _build_report(ctx, args.n, set(), args.jobs)
     text = _report_json(report) if args.format == "json" else _report_csv(report)
@@ -164,12 +168,9 @@ def cmd_blocks(args):
 
 
 def cmd_verify(args):
-    _check_work_limit(args)
+    _check_work_limit(args.p, args.f, args.n, args.work_limit)
     ctx = make_context(args.p, args.f, args.ell)
-    checks = set(args.checks.split(",")) if args.checks else set(ALL_CHECKS)
-    unknown = checks - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    checks = _parse_checks(args.checks)
     try:
         report = _build_report(ctx, args.n, checks, args.jobs)
     except Exception as exc:  # preserve partial output with a failure marker
@@ -193,8 +194,8 @@ def cmd_sweep(args):
     cache_dir = args.cache_dir or os.environ.get("SP_BAW_CACHE_DIR")
     if not cache_dir:
         raise ValueError("sweep needs --cache-dir or SP_BAW_CACHE_DIR")
+    checks = _parse_checks(args.checks)
     os.makedirs(cache_dir, exist_ok=True)
-    checks = set(args.checks.split(",")) if args.checks else set(ALL_CHECKS)
     results = []
     status = 0
     for p in _int_list(args.p):
@@ -205,8 +206,7 @@ def cmd_sweep(args):
                     key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
                     path = os.path.join(cache_dir, key + ".json")
                     try:
-                        if _estimated_frontier(p, f, n) > args.work_limit:
-                            raise ValueError("work limit exceeded")
+                        _check_work_limit(p, f, n, args.work_limit)
                         ctx = make_context(p, f, ell)
                         report = _build_report(ctx, n, checks, args.jobs)
                         text = _report_json(report)
@@ -227,8 +227,7 @@ def cmd_sweep(args):
                             entry["status"] = "regression"
                             status = max(status, 1)
                     else:
-                        with open(path, "w") as fh:
-                            fh.write(text)
+                        _emit(text, path)
                         entry["status"] = "new"
                     results.append(entry)
     summary = {"version": __version__, "cache_dir": cache_dir,

@@ -160,13 +160,6 @@ class GF:
         assert a != 0, "zero has no inverse"
         return self.pow(a, self.q - 2)
 
-    def frob(self, a, i=1):
-        """The field automorphism x -> x^(p^i); trivial when f divides i."""
-        out = a
-        for _ in range(i % self.f):
-            out = self.pow(out, self.p)
-        return out
-
 
 @lru_cache(maxsize=None)
 def get_field(p, f):

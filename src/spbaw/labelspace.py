@@ -12,10 +12,21 @@ for linear primes and cohooks for unitary ones.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import ffpoly, partcomb, symbcomb
 from .ffpoly import PolyClass
 from .symbcomb import LSymbol
+
+
+class CheckFailed(Exception):
+    """A verification check found a violation.  Checks raise it explicitly,
+    not through assert, so that their verdicts survive python -O."""
+
+
+def check(cond, msg):
+    if not cond:
+        raise CheckFailed(msg)
 
 
 def x_minus_class(ctx):
@@ -69,17 +80,13 @@ def eta_of_class(pc, mult):
     return pc.sign ** mult if pc.sign == -1 else 1
 
 
-ETA_GLOBAL_PRODUCT = 1  # normalization constant for eta at X-1
-
-
 def _make_semisimple(ctx, items, eta_plus):
     items = tuple(sorted(items, key=lambda cm: cm[0].sort_key()))
     prod = eta_plus if eta_plus is not None else 1
     for pc, m in items:
         if pc.family != "F0":
             prod *= eta_of_class(pc, m)
-    eta_minus = ETA_GLOBAL_PRODUCT * prod
-    return SemisimpleLabel(entries=items, eta_plus=eta_plus, eta_minus=eta_minus)
+    return SemisimpleLabel(entries=items, eta_plus=eta_plus, eta_minus=prod)
 
 
 def enumerate_semisimple(ctx, n, ell_prime_only=True):
@@ -150,34 +157,38 @@ def _assignment_key(entries):
     return tuple(out)
 
 
+_DEFECTS = {"odd": lambda d: d % 2 == 1,
+            "mod4_0": lambda d: d % 4 == 0,
+            "mod4_2": lambda d: d % 4 == 2}
+
+
+def _defect_tag(ctx, pc, eta_plus):
+    """The defect class of the symbols at X-1 (odd) or X+1 (0 mod 4, or
+    2 mod 4 when eta_plus is -1).  X+1 outside the support has rank 0,
+    where the empty symbol is the only one of defect 0 mod 4."""
+    if is_x_minus(pc, ctx):
+        return "odd"
+    return "mod4_2" if eta_plus == -1 else "mod4_0"
+
+
 @lru_cache(maxsize=None)
 def _symbol_cores(rank_n, tag, e, mode):
-    """Cores of all rank-n symbols in a defect class, with their quotient
-    weights.  tag is 'odd', 'mod4_0' or 'mod4_2'."""
-    pred = {"odd": lambda d: d % 2 == 1,
-            "mod4_0": lambda d: d % 4 == 0,
-            "mod4_2": lambda d: d % 4 == 2}[tag]
+    """Cores of all rank-n symbols in the defect class `tag`."""
     cores = {}
-    for sym in symbcomb.enumerate_symbols(rank_n, pred):
+    for sym in symbcomb.enumerate_symbols(rank_n, _DEFECTS[tag]):
         core, pair = symbcomb.sym_core_quotient(sym, e, mode)
         cores[core] = symbcomb.quotient_size(pair)
     for core, w in cores.items():
         assert symbcomb.rank(core) + e * w == rank_n
-    return tuple(sorted(cores.items()))
+    return tuple(sorted(cores))
 
 
 def _core_choices(ctx, pc, m, eta_plus):
-    """Admissible kappa values at one divisor, with their weights."""
+    """Admissible kappa values at one divisor."""
     if pc.family != "F0":
-        return [(k, (m - sum(k)) // pc.e_gamma)
-                for k in partcomb.enumerate_e_cores(pc.e_gamma, m)
+        return [k for k in partcomb.enumerate_e_cores(pc.e_gamma, m)
                 if (m - sum(k)) % pc.e_gamma == 0]
-    if is_x_minus(pc, ctx):
-        return list(_symbol_cores(m // 2, "odd", ctx.e, ctx.mode))
-    if m == 0:
-        return [(LSymbol(), 0)]
-    tag = "mod4_0" if eta_plus == 1 else "mod4_2"
-    return list(_symbol_cores(m // 2, tag, ctx.e, ctx.mode))
+    return _symbol_cores(m // 2, _defect_tag(ctx, pc, eta_plus), ctx.e, ctx.mode)
 
 
 def weight_of(ctx, block, pc):
@@ -198,37 +209,34 @@ def weight_of(ctx, block, pc):
     return lhs // step
 
 
-def block_classes(ctx, block):
-    """The divisors carrying data in this block: the support plus X+1."""
-    classes = list(block.s.support())
+def block_classes(ctx, s):
+    """The divisors carrying data over the semisimple label s: its support
+    plus X+1."""
+    classes = list(s.support())
     xp = x_plus_class(ctx)
     if xp not in classes:
         classes.append(xp)
     return sorted(classes, key=PolyClass.sort_key)
 
 
+def _z2_indices(degenerate):
+    """The (index, collapsed) values of the Z/2 index over a part at X+1:
+    one collapsed value when the part is degenerate, else two."""
+    return ((0, True),) if degenerate else ((0, False), (1, False))
+
+
 def enumerate_blocks(ctx, n, ell_prime_only=True):
     """All block labels (s, kappa, i) with kappa admissible for s."""
+    xp = x_plus_class(ctx)
     out = []
     for s in enumerate_semisimple(ctx, n, ell_prime_only):
-        xp = x_plus_class(ctx)
-        classes = [c for c, _ in s.entries]
-        if xp not in classes:
-            classes.append(xp)
-        classes.sort(key=PolyClass.sort_key)
-        choices = [[(pc, core) for core, _ in
+        choices = [[(pc, core) for core in
                     _core_choices(ctx, pc, s.mult(pc), s.eta_plus)]
-                   for pc in classes]
-        stack = [()]
-        for ch in choices:
-            stack = [k + (entry,) for k in stack for entry in ch]
-        for kappa in stack:
-            core_plus = dict(kappa)[xp]
-            if symbcomb.is_degenerate(core_plus):
-                out.append(BlockLabel(s=s, kappa=kappa, i=0, i_collapsed=True))
-            else:
-                out.append(BlockLabel(s=s, kappa=kappa, i=0, i_collapsed=False))
-                out.append(BlockLabel(s=s, kappa=kappa, i=1, i_collapsed=False))
+                   for pc in block_classes(ctx, s)]
+        for kappa in product(*choices):
+            degenerate = symbcomb.is_degenerate(dict(kappa)[xp])
+            out.extend(BlockLabel(s=s, kappa=kappa, i=i, i_collapsed=c)
+                       for i, c in _z2_indices(degenerate))
     return sorted(out, key=BlockLabel.sort_key)
 
 
@@ -271,8 +279,7 @@ def enumerate_ibr(ctx, block):
     kappa, with the Z/2 index collapsing on degenerate X+1 parts."""
     xp = x_plus_class(ctx)
     per_class = []
-    classes = block_classes(ctx, block)
-    for pc in classes:
+    for pc in block_classes(ctx, block.s):
         m = block.s.mult(pc)
         core = block.core_of(pc)
         w = weight_of(ctx, block, pc)
@@ -281,21 +288,17 @@ def enumerate_ibr(ctx, block):
         else:
             vals = _symbols_with_core_cached(core, w, ctx.e, ctx.mode)
         per_class.append([(pc, v) for v in vals])
-    stack = [()]
-    for ch in per_class:
-        stack = [t + (entry,) for t in stack for entry in ch]
     out = []
     core_plus = block.core_of(xp) or LSymbol()
-    for lam in stack:
-        lam_plus = dict(lam)[xp]
+    for lam in product(*per_class):
+        degenerate = symbcomb.is_degenerate(dict(lam)[xp])
         if not symbcomb.is_degenerate(core_plus):
-            assert not symbcomb.is_degenerate(lam_plus)
-            out.append(IBrLabel(s=block.s, lam=lam, j=block.i, j_collapsed=False))
-        elif symbcomb.is_degenerate(lam_plus):
-            out.append(IBrLabel(s=block.s, lam=lam, j=0, j_collapsed=True))
+            assert not degenerate
+            indices = ((block.i, False),)
         else:
-            out.append(IBrLabel(s=block.s, lam=lam, j=0, j_collapsed=False))
-            out.append(IBrLabel(s=block.s, lam=lam, j=1, j_collapsed=False))
+            indices = _z2_indices(degenerate)
+        out.extend(IBrLabel(s=block.s, lam=lam, j=j, j_collapsed=c)
+                   for j, c in indices)
     return sorted(out, key=IBrLabel.sort_key)
 
 
@@ -323,33 +326,19 @@ def enumerate_ibr_universe(ctx, n):
     out = []
     xp = x_plus_class(ctx)
     for s in enumerate_semisimple(ctx, n, ell_prime_only=True):
-        classes = [c for c, _ in s.entries]
-        if xp not in classes:
-            classes.append(xp)
-        classes.sort(key=PolyClass.sort_key)
         per_class = []
-        for pc in classes:
+        for pc in block_classes(ctx, s):
             m = s.mult(pc)
             if pc.family != "F0":
                 vals = partcomb.enumerate_partitions(m)
-            elif is_x_minus(pc, ctx):
-                vals = symbcomb.enumerate_symbols(m // 2, lambda d: d % 2 == 1)
-            elif m == 0:
-                vals = [LSymbol()]
             else:
-                want = 0 if s.eta_plus == 1 else 2
-                vals = symbcomb.enumerate_symbols(m // 2, lambda d: d % 4 == want)
+                tag = _defect_tag(ctx, pc, s.eta_plus)
+                vals = symbcomb.enumerate_symbols(m // 2, _DEFECTS[tag])
             per_class.append([(pc, v) for v in vals])
-        stack = [()]
-        for ch in per_class:
-            stack = [t + (entry,) for t in stack for entry in ch]
-        for lam in stack:
-            lam_plus = dict(lam)[xp]
-            if symbcomb.is_degenerate(lam_plus):
-                out.append(IBrLabel(s=s, lam=lam, j=0, j_collapsed=True))
-            else:
-                out.append(IBrLabel(s=s, lam=lam, j=0, j_collapsed=False))
-                out.append(IBrLabel(s=s, lam=lam, j=1, j_collapsed=False))
+        for lam in product(*per_class):
+            degenerate = symbcomb.is_degenerate(dict(lam)[xp])
+            out.extend(IBrLabel(s=s, lam=lam, j=j, j_collapsed=c)
+                       for j, c in _z2_indices(degenerate))
     return sorted(out, key=IBrLabel.sort_key)
 
 
@@ -390,55 +379,31 @@ def branch_count(ctx, pc):
     return pc.beta * (ctx.e if pc.family == "F0" else pc.e_gamma)
 
 
+def _weight_labels(ctx, block, label_cls, tuples_of):
+    """One label_cls(block, entries) per choice of a branch_count-tuple
+    tuples_of(k, w_Gamma) at every divisor."""
+    per_class = [[(pc, t) for t in tuples_of(branch_count(ctx, pc),
+                                             weight_of(ctx, block, pc))]
+                 for pc in block_classes(ctx, block.s)]
+    return sorted((label_cls(block, x) for x in product(*per_class)),
+                  key=label_cls.sort_key)
+
+
 def enumerate_weights_q(ctx, block):
     """All ordered-quotient weight labels of a block: one sequence of
     beta*e_Gamma partitions of total w_Gamma per divisor."""
-    per_class = []
-    for pc in block_classes(ctx, block):
-        w = weight_of(ctx, block, pc)
-        tuples = partcomb.enumerate_tuples(branch_count(ctx, pc), w)
-        per_class.append([(pc, t) for t in tuples])
-    stack = [()]
-    for ch in per_class:
-        stack = [t + (entry,) for t in stack for entry in ch]
-    return sorted((WeightLabelQ(block=block, q=q) for q in stack),
-                  key=WeightLabelQ.sort_key)
-
-
-def _branch_tower_families(ctx, k, w):
-    """All k-tuples of ell-core towers with total weighted size w."""
-    out = []
-
-    def rec(slot, rest, prefix):
-        if slot == k - 1:
-            for tw in partcomb.enumerate_core_towers(ctx.ell, rest):
-                out.append(tuple(prefix) + (tw,))
-            return
-        for v in range(rest, -1, -1):
-            for tw in partcomb.enumerate_core_towers(ctx.ell, v):
-                prefix.append(tw)
-                rec(slot + 1, rest - v, prefix)
-                prefix.pop()
-
-    if k == 0:
-        return [()] if w == 0 else []
-    rec(0, w, [])
-    return out
+    return _weight_labels(ctx, block, WeightLabelQ, partcomb.enumerate_tuples)
 
 
 def enumerate_weights_k(ctx, block):
     """All core-tower weight labels, enumerated independently of the
-    Q-form via the level structure."""
-    per_class = []
-    for pc in block_classes(ctx, block):
-        w = weight_of(ctx, block, pc)
-        fams = _branch_tower_families(ctx, branch_count(ctx, pc), w)
-        per_class.append([(pc, fam) for fam in fams])
-    stack = [()]
-    for ch in per_class:
-        stack = [t + (entry,) for t in stack for entry in ch]
-    return sorted((WeightLabelK(block=block, k=k) for k in stack),
-                  key=WeightLabelK.sort_key)
+    Q-form via the level structure: one sequence of beta*e_Gamma ell-core
+    towers of total weighted size w_Gamma per divisor."""
+    def towers(v):
+        return partcomb.enumerate_core_towers(ctx.ell, v)
+
+    return _weight_labels(ctx, block, WeightLabelK,
+                          lambda k, w: partcomb.weighted_tuples(k, w, towers))
 
 
 def k_to_q(ctx, wk):
@@ -473,22 +438,23 @@ def audit_weight_label(ctx, w_label, n):
     wq = w_label if isinstance(w_label, WeightLabelQ) else k_to_q(ctx, w_label)
     block = wq.block
     dim_fixed, dim_moved = 0, 0
-    for pc in block_classes(ctx, block):
+    for pc in block_classes(ctx, block.s):
         m = block.s.mult(pc)
         w = weight_of(ctx, block, pc)
-        assert sum(sum(p) for p in wq.q_of(pc)) == w, "branch sizes must sum to w"
+        check(sum(sum(p) for p in wq.q_of(pc)) == w, "branch sizes must sum to w")
         core = block.core_of(pc)
         if pc.family != "F0":
-            assert m == sum(core) + pc.e_gamma * w
+            split = sum(core) + pc.e_gamma * w
         elif is_x_plus(pc, ctx):
-            assert m == 2 * symbcomb.rank(core) + 2 * ctx.e * w
+            split = 2 * symbcomb.rank(core) + 2 * ctx.e * w
         else:
-            assert m == 2 * symbcomb.rank(core) + 1 + 2 * ctx.e * w
+            split = 2 * symbcomb.rank(core) + 1 + 2 * ctx.e * w
+        check(m == split, "multiplicity is not core plus e_Gamma * weight")
         displaced = w * pc.beta * (ctx.e if pc.family == "F0" else pc.e_gamma)
-        assert m - displaced >= 0, "weight exceeds available multiplicity"
+        check(m - displaced >= 0, "weight exceeds available multiplicity")
         dim_fixed += (m - displaced) * pc.deg
         dim_moved += displaced * pc.deg
-    assert dim_fixed + dim_moved == 2 * n + 1
+    check(dim_fixed + dim_moved == 2 * n + 1, "dimensions do not fill 2n+1")
     return True
 
 
@@ -517,7 +483,7 @@ def block_jsonable(ctx, b):
             "kappa": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in b.kappa],
             "i": b.i, "i_collapsed": b.i_collapsed,
             "w": [[poly_jsonable(pc), weight_of(ctx, b, pc)]
-                  for pc in block_classes(ctx, b)]}
+                  for pc in block_classes(ctx, b.s)]}
 
 
 def ibr_jsonable(label):

@@ -8,10 +8,7 @@ normalized to a multiple of e (so the ordering is stable under length
 changes by whole rows of beads).
 """
 
-
-def check_partition(p):
-    assert all(a >= b for a, b in zip(p, p[1:])), f"not weakly decreasing: {p}"
-    assert all(a > 0 for a in p), f"nonpositive part: {p}"
+from itertools import product
 
 
 def beta_set(p, length):
@@ -153,8 +150,10 @@ def enumerate_e_cores(e, max_size):
             if is_e_core(p, e)]
 
 
-def enumerate_tuples(k, w):
-    """Every ordered k-tuple of partitions of total size w."""
+def weighted_tuples(k, w, items_of):
+    """Every ordered k-tuple (x_1, ..., x_k), x_i drawn from items_of(w_i),
+    with w_1 + ... + w_k = w.  Slot weights run from w down to 0, the last
+    slot taking the rest."""
     assert k >= 0 and w >= 0
     if k == 0:
         return [()] if w == 0 else []
@@ -162,23 +161,19 @@ def enumerate_tuples(k, w):
 
     def rec(slot, rest, prefix):
         if slot == k - 1:
-            for p in enumerate_partitions(rest):
-                out.append(tuple(prefix) + (p,))
+            out.extend(prefix + (x,) for x in items_of(rest))
             return
         for s in range(rest, -1, -1):
-            for p in enumerate_partitions(s):
-                prefix.append(p)
-                rec(slot + 1, rest - s, prefix)
-                prefix.pop()
+            for x in items_of(s):
+                rec(slot + 1, rest - s, prefix + (x,))
 
-    rec(0, w, [])
+    rec(0, w, ())
     return out
 
 
-def enumerate_core_tuples(k, w, ell):
-    """Every ordered k-tuple of ell-cores of total size w."""
-    return [t for t in enumerate_tuples(k, w)
-            if all(is_e_core(p, ell) for p in t)]
+def enumerate_tuples(k, w):
+    """Every ordered k-tuple of partitions of total size w."""
+    return weighted_tuples(k, w, enumerate_partitions)
 
 
 def enumerate_core_towers(ell, v):
@@ -201,12 +196,12 @@ def enumerate_core_towers(ell, v):
             prefix.pop()
 
     level_sizes(v, 0, [])
+
+    def cores_of_size(s):
+        return [p for p in enumerate_partitions(s) if is_e_core(p, ell)]
+
     out = []
     for vec in sorted(vectors):
-        level_choices = [enumerate_core_tuples(ell ** d, s, ell)
-                         for d, s in enumerate(vec)]
-        stack = [()]
-        for choices in level_choices:
-            stack = [t + (lvl,) for t in stack for lvl in choices]
-        out.extend(stack)
+        out.extend(product(*(weighted_tuples(ell ** d, s, cores_of_size)
+                             for d, s in enumerate(vec))))
     return out

@@ -37,7 +37,7 @@ def test_linear_prime_exercises_all_families():
     # at (n, q, ell) = (2, 7, 3) every family carries blocks of weight > 0
     seen = set()
     for b in ls.enumerate_blocks(CTX73, 2):
-        for pc in ls.block_classes(CTX73, b):
+        for pc in ls.block_classes(CTX73, b.s):
             w = ls.weight_of(CTX73, b, pc)
             if w:
                 seen.add((pc.family, w))
@@ -130,8 +130,8 @@ def test_k_and_q_actions_commute_with_k_to_q():
     for b in ls.enumerate_blocks(CTX35, 2):
         for wk in ls.enumerate_weights_k(CTX35, b):
             for a in (FIELD(1), DIAGONAL):
-                lhs = ls.k_to_q(CTX35, bc.act_on_weight_k(CTX35, a, wk))
-                rhs = bc.act_on_weight_q(CTX35, a, ls.k_to_q(CTX35, wk))
+                lhs = ls.k_to_q(CTX35, bc.act_on_weight(CTX35, a, wk))
+                rhs = bc.act_on_weight(CTX35, a, ls.k_to_q(CTX35, wk))
                 assert lhs == rhs
 
 
@@ -139,7 +139,7 @@ def test_diagonal_fixes_weight_iff_symmetric():
     xp = ls.x_plus_class(CTX35)
     for b in ls.enumerate_blocks(CTX35, 2):
         for w in ls.enumerate_weights_q(CTX35, b):
-            fixed = bc.act_on_weight_q(CTX35, DIAGONAL, w) == w
+            fixed = bc.act_on_weight(CTX35, DIAGONAL, w) == w
             q = w.q_of(xp)
             e = CTX35.e
             symmetric = q[:e] == q[e:]
@@ -153,7 +153,7 @@ def test_orbit_size_multisets_match():
                    for w in ls.enumerate_weights_q(ctx, b)]
         for a in (FIELD(1), DIAGONAL):
             si = bc.orbit_sizes(ibrs, lambda x: bc.act_on_ibr(ctx, a, x))
-            sw = bc.orbit_sizes(weights, lambda x: bc.act_on_weight_q(ctx, a, x))
+            sw = bc.orbit_sizes(weights, lambda x: bc.act_on_weight(ctx, a, x))
             assert si == sw
 
 
@@ -161,7 +161,7 @@ def test_radical_shape_field_invariance():
     for b in ls.enumerate_blocks(CTX925, 1):
         for wk in ls.enumerate_weights_k(CTX925, b):
             shape = ls.radical_shape(CTX925, wk)
-            moved = bc.act_on_weight_k(CTX925, FIELD(1), wk)
+            moved = bc.act_on_weight(CTX925, FIELD(1), wk)
             moved_shape = ls.radical_shape(CTX925, moved)
             # the shape is carried along the divisor relabeling
             from spbaw.ffpoly import frobenius_class
@@ -189,7 +189,7 @@ def test_degeneracy_transport():
             ibr_set = set(ls.enumerate_ibr(ctx, b))
             w_set = set(ls.enumerate_weights_q(ctx, b))
             moved_ibr = {bc.act_on_ibr(ctx, DIAGONAL, x) for x in ibr_set}
-            moved_w = {bc.act_on_weight_q(ctx, DIAGONAL, x) for x in w_set}
+            moved_w = {bc.act_on_weight(ctx, DIAGONAL, x) for x in w_set}
             partner = bc.act_on_block(ctx, DIAGONAL, b)
             if b.i_collapsed:
                 assert partner == b
@@ -219,8 +219,8 @@ def test_deep_core_towers_end_to_end():
             for pc, fam in wk.k:
                 deep_seen += sum(1 for tw in fam if len(tw) > 1)
             for a in (FIELD(1), DIAGONAL):
-                assert ls.k_to_q(ctx, bc.act_on_weight_k(ctx, a, wk)) == \
-                    bc.act_on_weight_q(ctx, a, ls.k_to_q(ctx, wk))
+                assert ls.k_to_q(ctx, bc.act_on_weight(ctx, a, wk)) == \
+                    bc.act_on_weight(ctx, a, ls.k_to_q(ctx, wk))
     assert deep_seen > 0
 
 
@@ -231,7 +231,7 @@ def test_e_three_modes_with_positive_weight(p, ell):
     assert ctx.e == 3
     blocks = ls.enumerate_blocks(ctx, 3)
     heavy = [b for b in blocks
-             if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b))]
+             if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert heavy
     for b in blocks:
         r = bc.verify_block(ctx, b)
@@ -247,7 +247,7 @@ def test_field_equivariance_where_the_action_moves_blocks():
     blocks = ls.enumerate_blocks(ctx, 2)
     moved = [b for b in blocks if bc.act_on_block(ctx, FIELD(1), b) != b]
     heavy = [b for b in blocks
-             if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b))]
+             if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert len(moved) > len(blocks) // 2 and heavy
     for b in blocks:
         r = bc.verify_block(ctx, b)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spbaw.cli import main
 
 
@@ -129,3 +131,59 @@ def test_verify_preserves_partial_output_on_failure(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["failed"].startswith("RuntimeError")
     assert report["summary"]["all_pass"] is False
+
+
+def test_sweep_unknown_check_rejected(tmp_path):
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(["sweep", "--p", "3", "--f", "1", "--ell", "5",
+                              "--n", "1", "--checks", "bogus",
+                              "--cache-dir", str(cache)])
+    assert code == 2
+    assert "unknown checks" in err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+# Faults injected into a child interpreter; each breaks one check and
+# nothing else.  The audit sees a weight one too large; field(i) acts as
+# the diagonal inside the action-law check only.
+_BREAK_AUDIT = """
+import sys
+import spbaw.labelspace as ls
+weight_of = ls.weight_of
+def skewed(ctx, block, pc):
+    w = weight_of(ctx, block, pc)
+    caller = sys._getframe(1).f_code.co_name
+    return w + 1 if caller == "audit_weight_label" else w
+ls.weight_of = skewed
+"""
+_BREAK_ACTION_LAWS = """
+import spbaw.bawcheck as bc
+bc.FIELD = lambda i: bc.DIAGONAL
+"""
+
+
+@pytest.mark.parametrize("inject,broken",
+                         [(_BREAK_AUDIT, "invariants_ok"),
+                          (_BREAK_ACTION_LAWS, "action_laws_ok")],
+                         ids=["audit", "action_laws"])
+def test_check_failures_survive_python_O(inject, broken):
+    script = inject + """
+import sys
+if __debug__:
+    sys.exit(3)
+from spbaw.cli import main
+sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "1"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    summary = report["summary"]
+    assert summary["all_pass"] is False
+    invariants = [rec["invariants_ok"] for rec in report["blocks"]]
+    if broken == "invariants_ok":
+        assert not all(invariants)
+        assert summary["action_laws_ok"] is True
+    else:
+        assert all(invariants)
+        assert summary["action_laws_ok"] is False

@@ -69,7 +69,7 @@ def test_weight_of_examples():
     blocks = ls.enumerate_blocks(CTX35, 2)
     xm, xp = ls.x_minus_class(CTX35), ls.x_plus_class(CTX35)
     for b in blocks:
-        for pc in ls.block_classes(CTX35, b):
+        for pc in ls.block_classes(CTX35, b.s):
             w = ls.weight_of(CTX35, b, pc)
             core = b.core_of(pc)
             if pc.family != "F0":
@@ -116,7 +116,7 @@ def test_enumerate_ibr_counts_vs_filter_oracle():
         # oracle: enumerate all candidate lambda values per class and filter
         # by the computed core
         count = 1
-        for pc in ls.block_classes(CTX35, b):
+        for pc in ls.block_classes(CTX35, b.s):
             m = b.s.mult(pc)
             core = b.core_of(pc)
             if pc.family != "F0":
@@ -160,7 +160,7 @@ def test_weights_q_counts_product_formula():
     for b in blocks:
         got = ls.enumerate_weights_q(CTX35, b)
         expect = 1
-        for pc in ls.block_classes(CTX35, b):
+        for pc in ls.block_classes(CTX35, b.s):
             w = ls.weight_of(CTX35, b, pc)
             expect *= len(partcomb.enumerate_tuples(ls.branch_count(CTX35, pc), w))
         assert len(got) == expect
@@ -183,7 +183,7 @@ def test_weights_k_matches_q_and_round_trip():
 def test_all_w_zero_block_has_singletons():
     blocks = ls.enumerate_blocks(CTX35, 1)
     for b in blocks:
-        ws = [ls.weight_of(CTX35, b, pc) for pc in ls.block_classes(CTX35, b)]
+        ws = [ls.weight_of(CTX35, b, pc) for pc in ls.block_classes(CTX35, b.s)]
         if all(w == 0 for w in ws):
             assert len(ls.enumerate_ibr(CTX35, b)) == 1
             assert len(ls.enumerate_weights_q(CTX35, b)) == 1
@@ -198,7 +198,7 @@ def test_radical_shape_and_audit():
             total = {}
             for pc, d, br, t in shape:
                 total[pc] = total.get(pc, 0) + CTX35.ell ** d * t
-            for pc in ls.block_classes(CTX35, b):
+            for pc in ls.block_classes(CTX35, b.s):
                 assert total.get(pc, 0) == ls.weight_of(CTX35, b, pc)
             assert ls.audit_weight_label(CTX35, wk, 2)
             json.dumps(ls.weight_k_jsonable(CTX35, wk))  # serializable
