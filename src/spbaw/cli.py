@@ -30,10 +30,10 @@ def _context_jsonable(ctx):
 
 
 def _check_work_limit(p, f, n, work_limit):
-    est = (p ** f) ** (2 * n + 1)   # the enumeration frontier
+    est = (p ** f) ** (2 * n + 1)   # size bound q^(2n+1)
     if est > work_limit:
         raise ValueError(
-            f"refusing to run: estimated enumeration frontier {est} exceeds "
+            f"refusing to run: size bound q^(2n+1) = {est} exceeds "
             f"the work limit {work_limit}; rerun with a larger --work-limit "
             f"if this size is intended")
 
@@ -220,7 +220,8 @@ def cmd_sweep(args):
                         entry["status"] = "failed"
                         status = max(status, 1)
                     elif os.path.exists(path):
-                        cached = open(path).read()
+                        with open(path) as fh:
+                            cached = fh.read()
                         if cached == text:
                             entry["status"] = "match"
                         else:
@@ -250,7 +251,7 @@ def _add_common(sub, grid=False):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--jobs", type=int, default=1, help="parallelism degree")
     sub.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
-                     help="refusal bound for the enumeration frontier")
+                     help="refuse sizes whose bound q^(2n+1) exceeds this")
 
 
 def build_parser():

@@ -14,6 +14,7 @@ of g; frobenius(g, i) the one whose roots are the p^i-th powers.
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .fieldctx import order_mod
 
@@ -128,10 +129,10 @@ def _prime_divisors(n):
 
 def enumerate_irreducibles(ctx, maxdeg):
     """All monic irreducibles of degree <= maxdeg, ordered by
-    (degree, coefficient vector)."""
+    (degree, coefficient vector): a Rabin test on every monic polynomial.
+    The brute-force reference for the class table; the package itself
+    does not call it."""
     assert maxdeg >= 1
-    if ctx.q ** maxdeg > 10 ** 7:
-        raise ValueError("irreducible enumeration frontier exceeds the work limit")
     out = []
     for d in range(1, maxdeg + 1):
         for enc in range(ctx.q ** d):
@@ -255,6 +256,25 @@ class PolyClass:
         return f"PolyClass({self.family}, {list(self.gamma)})"
 
 
+def _class_of_factor(g, ctx):
+    """The class whose elementary divisor has the irreducible factor g:
+    F0 for X-1 and X+1, F1 when g is self-star, else F2 with
+    gamma = g g^* and the lex-smaller of the star pair as its factor."""
+    if g == poly_x_minus_one(ctx) or g == poly_x_plus_one(ctx):
+        return PolyClass(gamma=g, factor=g, family="F0",
+                         e_gamma=ctx.e, _delta=1, _sign=1)
+    st = star(g, ctx)
+    if st == g:
+        assert poly_deg(g) % 2 == 0, "self-star irreducibles away from X+-1 have even degree"
+        gamma, family, delta, sign = g, "F1", poly_deg(g) // 2, -1
+    else:
+        gamma, family, delta, sign = poly_mul(g, st, ctx.gf), "F2", poly_deg(g), 1
+        g = min(g, st)
+    return PolyClass(gamma=gamma, factor=g, family=family,
+                     e_gamma=order_mod(sign * ctx.q ** delta % ctx.ell, ctx.ell),
+                     _delta=delta, _sign=sign)
+
+
 def classify(g, ctx):
     """Classify g into F0/F1/F2 and compute its invariants."""
     g = poly_trim(g)
@@ -262,24 +282,13 @@ def classify(g, ctx):
         raise ValueError("polynomial must be monic")
     if g[0] == 0:
         raise ValueError("X does not belong to any family")
-    if g == poly_x_minus_one(ctx) or g == poly_x_plus_one(ctx):
-        return PolyClass(gamma=g, factor=g, family="F0",
-                         e_gamma=ctx.e, _delta=1, _sign=1)
-    if is_irreducible(g, ctx):
-        if star(g, ctx) != g:
+    if (g == poly_x_minus_one(ctx) or g == poly_x_plus_one(ctx)
+            or is_irreducible(g, ctx)):
+        pc = _class_of_factor(g, ctx)
+        if pc.family == "F2":
             raise ValueError("irreducible but not self-star: classify its F2 product instead")
-        d = poly_deg(g)
-        assert d % 2 == 0, "self-star irreducibles away from X+-1 have even degree"
-        delta, sign = d // 2, -1
-    else:
-        factor = _split_f2(g, ctx)
-        delta, sign = poly_deg(factor), 1
-        return PolyClass(gamma=g, factor=factor, family="F2",
-                         e_gamma=order_mod(sign * ctx.q ** delta % ctx.ell, ctx.ell),
-                         _delta=delta, _sign=sign)
-    return PolyClass(gamma=g, factor=g, family="F1",
-                     e_gamma=order_mod(sign * ctx.q ** delta % ctx.ell, ctx.ell),
-                     _delta=delta, _sign=sign)
+        return pc
+    return _class_of_factor(_split_f2(g, ctx), ctx)
 
 
 def is_ell_prime_order(pc, ctx):
@@ -300,30 +309,29 @@ def is_ell_prime_order(pc, ctx):
 def enumerate_classes(ctx, max_total_deg, ell_prime_only=False):
     """All elementary-divisor classes of degree <= max_total_deg, sorted.
 
-    F1 needs irreducibles up to max_total_deg; F2 products of degree 2d
-    need irreducible factors up to max_total_deg // 2.
+    Only the irreducible factors are searched for.  An F1 member of degree
+    2d is a palindrome (1, c_1, ..., c_d, ..., c_1, 1), so q^d candidates;
+    an F2 product of degree 2d has a factor of degree d, tested once per
+    star pair.
     """
     return list(_enumerate_classes_cached(ctx, max_total_deg, ell_prime_only))
 
 
 @lru_cache(maxsize=None)
 def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
-    classes = [classify(poly_x_minus_one(ctx), ctx)]
+    factors = [poly_x_minus_one(ctx)]
     if max_total_deg >= 1:
-        classes.append(classify(poly_x_plus_one(ctx), ctx))
-    seen_f2 = set()
-    for g in enumerate_irreducibles(ctx, max_total_deg) if max_total_deg >= 1 else []:
-        if g[0] == 0 or g in (poly_x_minus_one(ctx), poly_x_plus_one(ctx)):
-            continue
-        st = star(g, ctx)
-        if st == g:
-            classes.append(classify(g, ctx))
-        else:
-            rep = min(g, st)
-            if rep in seen_f2 or 2 * poly_deg(g) > max_total_deg:
-                continue
-            seen_f2.add(rep)
-            classes.append(classify(poly_mul(g, st, ctx.gf), ctx))
+        factors.append(poly_x_plus_one(ctx))
+    for d in range(1, max_total_deg // 2 + 1):
+        for c in product(range(ctx.q), repeat=d):
+            pal = (1,) + c + c[-2::-1] + (1,)
+            if is_irreducible(pal, ctx):
+                factors.append(pal)
+            g = c + (1,)
+            # X has no star; X+-1 and the other self-star ones are not F2
+            if g[0] and g < star(g, ctx) and is_irreducible(g, ctx):
+                factors.append(g)
+    classes = [_class_of_factor(g, ctx) for g in factors]
     if ell_prime_only:
         classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
     return tuple(sorted(classes, key=PolyClass.sort_key))
@@ -343,8 +351,9 @@ def frobenius_class(pc, i, ctx):
 
 @lru_cache(maxsize=None)
 def _frobenius_class_cached(pc, i, ctx):
-    img = frobenius(pc.gamma, i, ctx)
-    out = classify(img, ctx)
+    if pc.family == "F0":
+        return pc
+    out = _class_of_factor(_min_poly_of_power(pc.factor, ctx.p ** i, ctx), ctx)
     assert out.family == pc.family and out.e_gamma == pc.e_gamma
     return out
 

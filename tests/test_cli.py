@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -94,6 +95,16 @@ def test_sweep_cache_round_trip(tmp_path):
     second = json.loads(out2.read_text())
     assert [c["status"] for c in second["configs"]] == ["match", "match"]
     assert second["regressions"] == 0
+
+
+def test_sweep_closes_cached_reports(tmp_path):
+    args = ["sweep", "--p", "3", "--f", "1", "--ell", "5", "--n", "1",
+            "--checks", "counts", "--cache-dir", str(tmp_path / "cache")]
+    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(args + ["--out", str(tmp_path / "b.json")]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_sweep_detects_regression(tmp_path):

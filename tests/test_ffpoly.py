@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -12,22 +13,24 @@ CTX75 = make_context(7, 1, 5)
 CTX925 = make_context(3, 2, 5)
 
 
+def mu(n):
+    """Moebius function."""
+    out, m = 1, n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    if m > 1:
+        out = -out
+    return out
+
+
 def necklace_count(q, d):
     """Number of monic irreducibles of degree d over F_q (Moebius sum)."""
-    def mu(n):
-        out, m = 1, n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        if m > 1:
-            out = -out
-        return out
-
     divisors = [k for k in range(1, d + 1) if d % k == 0]
     return sum(mu(d // k) * q ** k for k in divisors) // d
 
@@ -179,3 +182,79 @@ def test_dump_classes_jsonl():
     assert all(r["delta"] is None and r["sign"] is None for r in f0)
     f1 = [r for r in rows if r["family"] == "F1"]
     assert all(isinstance(r["delta"], int) for r in f1)
+
+
+def brute_force_classes(ctx, max_total_deg):
+    """The class table from a Rabin test on every monic polynomial of
+    degree <= max_total_deg: F1 members and F2 products are classified
+    from the polynomial itself."""
+    x_minus, x_plus = fp.poly_x_minus_one(ctx), fp.poly_x_plus_one(ctx)
+    classes = [fp.classify(x_minus, ctx), fp.classify(x_plus, ctx)]
+    seen_f2 = set()
+    for g in fp.enumerate_irreducibles(ctx, max_total_deg):
+        if g[0] == 0 or g in (x_minus, x_plus):
+            continue
+        st = fp.star(g, ctx)
+        if st == g:
+            classes.append(fp.classify(g, ctx))
+        elif 2 * fp.poly_deg(g) <= max_total_deg and min(g, st) not in seen_f2:
+            seen_f2.add(min(g, st))
+            classes.append(fp.classify(fp.poly_mul(g, st, ctx.gf), ctx))
+    return sorted(classes, key=fp.PolyClass.sort_key)
+
+
+@pytest.mark.parametrize("ctx,max_total_deg",
+                         [(CTX35, 6), (CTX53, 4), (CTX75, 4), (CTX925, 4)],
+                         ids=["q3", "q5", "q7", "q9"])
+def test_class_table_matches_brute_force(ctx, max_total_deg):
+    every = brute_force_classes(ctx, max_total_deg)
+    ell_prime = [pc for pc in every if fp.is_ell_prime_order(pc, ctx)]
+    for ell_prime_only, want in ((False, every), (True, ell_prime)):
+        got = fp.enumerate_classes(ctx, max_total_deg, ell_prime_only)
+        assert [astuple(pc) for pc in got] == [astuple(pc) for pc in want]
+
+
+def self_reciprocal_count(q, deg):
+    """Monic self-reciprocal irreducibles of degree deg over F_q, q odd
+    (Meyn 1990): S_q(2d) = (1/2d) sum_{k | d, k odd} mu(k) (q^(d/k) - 1),
+    and S_q(deg) = 0 for odd deg."""
+    if deg % 2:
+        return 0
+    d = deg // 2
+    total = sum(mu(k) * (q ** (d // k) - 1)
+                for k in range(1, d + 1, 2) if d % k == 0)
+    assert total % deg == 0
+    return total // deg
+
+
+@pytest.mark.parametrize("p,f,ell,max_total_deg",
+                         [(3, 1, 5, 10), (5, 1, 3, 6), (3, 2, 5, 4)],
+                         ids=["q3", "q5", "q9"])
+def test_class_counts_match_classical_formulas(p, f, ell, max_total_deg):
+    """F1 classes of degree 2d are the self-reciprocal irreducibles; F2
+    classes of degree 2d are the star pairs of irreducibles of degree d
+    other than X, X-1, X+1 and the self-reciprocal ones:
+    (N_q(d) - 3 [d = 1] - S_q(d)) / 2 with N_q the necklace count."""
+    ctx = make_context(p, f, ell)
+    q = ctx.q
+    classes = fp.enumerate_classes(ctx, max_total_deg)
+    for d in range(1, max_total_deg // 2 + 1):
+        f1 = sum(1 for pc in classes if pc.family == "F1" and pc.deg == 2 * d)
+        f2 = sum(1 for pc in classes if pc.family == "F2" and pc.deg == 2 * d)
+        assert f1 == self_reciprocal_count(q, 2 * d)
+        pairs = necklace_count(q, d) - (3 if d == 1 else 0) - self_reciprocal_count(q, d)
+        assert pairs % 2 == 0
+        assert f2 == pairs // 2
+
+
+@pytest.mark.parametrize("ctx,max_total_deg",
+                         [(CTX925, 4), (make_context(5, 2, 3), 2),
+                          (make_context(3, 3, 5), 2)],
+                         ids=["q9", "q25", "q27"])
+def test_frobenius_class_matches_polynomial_frobenius(ctx, max_total_deg):
+    """The factorwise image of a class equals the classified image of its
+    polynomial."""
+    for pc in fp.enumerate_classes(ctx, max_total_deg):
+        for i in range(1, ctx.f):
+            want = fp.classify(fp.frobenius(pc.gamma, i, ctx), ctx)
+            assert fp.frobenius_class(pc, i, ctx) == want
