@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from . import labelspace as ls, partcomb, symbcomb
 from .ffpoly import frobenius_class
 from .labelspace import (BlockLabel, IBrLabel, WeightLabelQ, block_classes,
-                         block_of_ibr, check, is_x_minus, is_x_plus,
-                         x_plus_class)
+                         block_of_ibr, check, is_x_minus, is_x_plus)
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,11 @@ def brauer_to_weight(ctx, ib):
         kappa = block.core_of(pc)
         if pc.family != "F0":
             core, quot = partcomb.e_core_quotient(lam, pc.e_gamma)
-            assert core == kappa
+            check(core == kappa, f"core {core} != block core {kappa} at {pc}")
             entries.append((pc, quot))
             continue
         core, pair = symbcomb.sym_core_quotient(lam, e, mode)
-        assert core == kappa
+        check(core == kappa, f"core {core} != block core {kappa} at {pc}")
         if is_x_minus(pc, ctx):
             j = _solve_orientation(kappa, pair, lam, e, mode)
             entries.append((pc, _flatten(pair, j)))
@@ -83,7 +82,7 @@ def brauer_to_weight(ctx, ib):
             entries.append((pc, _flatten(pair, (orient - block.i) % 2)))
         else:
             if symbcomb.is_degenerate(lam):
-                assert symbcomb.is_pair_degenerate(pair)
+                check(symbcomb.is_pair_degenerate(pair), f"{lam}: quotient {pair}")
             entries.append((pc, _flatten(pair, ib.j)))
     return WeightLabelQ(block=block, q=tuple(entries))
 
@@ -92,7 +91,6 @@ def weight_to_brauer(ctx, wq):
     """Two-sided inverse of brauer_to_weight."""
     block = wq.block
     e, mode = ctx.e, ctx.mode
-    xp = x_plus_class(ctx)
     entries = []
     j, j_collapsed = block.i, False
     for pc in block_classes(ctx, block.s):
@@ -117,7 +115,7 @@ def weight_to_brauer(ctx, wq):
             lam = symbcomb.star_plain(kappa, pair, 0, e, mode)
             entries.append((pc, lam))
             if symbcomb.is_degenerate(lam):
-                assert orient == 0
+                check(orient == 0, f"degenerate {lam} carries orientation {orient}")
                 j, j_collapsed = 0, True
             else:
                 j, j_collapsed = orient, False
@@ -132,7 +130,7 @@ def act_on_semisimple(ctx, action, s):
         return s
     items = [(frobenius_class(pc, action.power, ctx), m) for pc, m in s.entries]
     out = ls._make_semisimple(ctx, items, s.eta_plus)
-    assert out.eta_minus == s.eta_minus, "type signs are carried by the relabeling"
+    check(out.eta_minus == s.eta_minus, "type signs are carried by the relabeling")
     return out
 
 
@@ -182,70 +180,74 @@ def act_on_weight(ctx, action, w):
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_block(ctx, block):
-    """Counts and bijectivity report for one block."""
-    ibrs = ls.enumerate_ibr(ctx, block)
-    weights_q = ls.enumerate_weights_q(ctx, block)
-    weights_k = ls.enumerate_weights_k(ctx, block)
-    image = []
-    bijective = True
-    for ib in ibrs:
-        w = brauer_to_weight(ctx, ib)
-        image.append(w)
-        if weight_to_brauer(ctx, w) != ib:
-            bijective = False
-    if len(set(image)) != len(ibrs) or set(image) != set(weights_q):
-        bijective = False
-    mapped_k = {ls.k_to_q(ctx, wk) for wk in weights_k}
-    if mapped_k != set(weights_q):
-        bijective = False
-    return {
-        "n_ibr": len(ibrs),
-        "n_weights_q": len(weights_q),
-        "n_weights_k": len(weights_k),
-        "bijective": bijective,
-    }
+@dataclass(frozen=True)
+class BlockTable:
+    """A block's labels, each list enumerated once.  pairs holds each Brauer
+    label with its weight label; a list, so a label listed twice counts
+    twice."""
+    pairs: list
+    weights_q: list
+    weights_k: list
 
 
-def verify_equivariance_of_block(ctx, block, generators):
-    """Violations of the commuting square on the block's Brauer labels."""
+def block_table(ctx, block):
+    pairs = [(ib, brauer_to_weight(ctx, ib)) for ib in ls.enumerate_ibr(ctx, block)]
+    return BlockTable(pairs, ls.enumerate_weights_q(ctx, block),
+                      ls.enumerate_weights_k(ctx, block))
+
+
+def bijection_of(tables):
+    """The bijection on every Brauer label of the given block tables."""
+    return {ib: w for t in tables for ib, w in t.pairs}
+
+
+def verify_block(ctx, table):
+    """Counts and bijectivity report for one block table: the round trip
+    through weight_to_brauer, injectivity, image = Q weights, and
+    k_to_q(K weights) = Q weights."""
+    image = {w for _, w in table.pairs}
+    weights_q = set(table.weights_q)
+    bijective = (all(weight_to_brauer(ctx, w) == ib for ib, w in table.pairs)
+                 and len(image) == len(table.pairs) and image == weights_q
+                 and {ls.k_to_q(ctx, wk) for wk in table.weights_k} == weights_q)
+    return {"n_ibr": len(table.pairs), "n_weights_q": len(table.weights_q),
+            "n_weights_k": len(table.weights_k), "bijective": bijective}
+
+
+def verify_equivariance_of_block(ctx, pairs, bijection, generators):
+    """Violations of bijection[g(x)] = g(bijection[x]) on a block's pairs;
+    bijection maps every Brauer label of the rank, and a moved label
+    outside it is a violation."""
     violations = []
-    for ib in ls.enumerate_ibr(ctx, block):
-        w = brauer_to_weight(ctx, ib)
+    for ib, w in pairs:
         for gen in generators:
-            lhs = brauer_to_weight(ctx, act_on_ibr(ctx, gen, ib))
+            lhs = bijection.get(act_on_ibr(ctx, gen, ib))
             rhs = act_on_weight(ctx, gen, w)
             if lhs != rhs:
                 violations.append({"generator": gen.kind + (str(gen.power) if gen.kind == "field" else ""),
                                    "ibr": ls.ibr_jsonable(ib),
-                                   "lhs": ls.weight_q_jsonable(ctx, lhs),
+                                   "lhs": None if lhs is None
+                                   else ls.weight_q_jsonable(ctx, lhs),
                                    "rhs": ls.weight_q_jsonable(ctx, rhs)})
     return violations
 
 
-def verify_equivariance(ctx, n, generators=None):
+def verify_equivariance(ctx, n, generators=(FIELD(1), DIAGONAL)):
     """Equivariance of the bijection under the generator actions, checked
     on every Brauer label of every block at rank n."""
-    if generators is None:
-        generators = [FIELD(1), DIAGONAL]
-    n_checked = 0
-    violations = []
-    for block in ls.enumerate_blocks(ctx, n):
-        vs = verify_equivariance_of_block(ctx, block, generators)
-        violations.extend(vs)
-        n_checked += len(ls.enumerate_ibr(ctx, block)) * len(generators)
-    return {"n_checked": n_checked, "violations": violations,
-            "ok": not violations}
+    tables = [block_table(ctx, b) for b in ls.enumerate_blocks(ctx, n)]
+    bijection = bijection_of(tables)
+    violations = [v for t in tables for v in verify_equivariance_of_block(
+        ctx, t.pairs, bijection, generators)]
+    return {"n_checked": sum(len(t.pairs) for t in tables) * len(generators),
+            "violations": violations, "ok": not violations}
 
 
-def verify_action_laws(ctx, n):
+def verify_action_laws(ctx, ibrs, weights_q):
     """diagonal^2 = id, field(i)field(j) = field(i+j), and commutation,
-    as identities of maps on the label sets."""
-    blocks = ls.enumerate_blocks(ctx, n)
-    ibrs = [ib for b in blocks for ib in ls.enumerate_ibr(ctx, b)]
-    weights = [w for b in blocks for w in ls.enumerate_weights_q(ctx, b)]
+    as identities of maps on the given Brauer and Q-form weight labels."""
     f1, d = FIELD(1), DIAGONAL
-    for act, labels in ((act_on_ibr, ibrs), (act_on_weight, weights)):
+    for act, labels in ((act_on_ibr, ibrs), (act_on_weight, weights_q)):
         for x in labels:
             check(act(ctx, d, act(ctx, d, x)) == x, "diagonal^2 != id")
             check(act(ctx, f1, act(ctx, f1, x)) == act(ctx, FIELD(2), x),

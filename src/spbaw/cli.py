@@ -5,7 +5,8 @@
   sp-baw sweep   --p 3 --f 1 --ell 5,7 --n 1,2      grid + regression cache
 
 Reports are JSON (or a flat CSV projection) with a stable schema, byte
-identical across runs and --jobs settings.  Exit codes: 0 all requested
+identical across runs and --jobs settings; blocks run in one thread, and
+--jobs is accepted but changes nothing.  Exit codes: 0 all requested
 checks pass, 1 a check failed, 2 usage or configuration error.
 """
 
@@ -15,7 +16,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 from . import __version__, bawcheck as bc, labelspace as ls
 from .fieldctx import make_context
@@ -46,33 +47,27 @@ def _parse_checks(text):
     return checks
 
 
-def _run_blocks(ctx, n, checks, jobs):
-    blocks = ls.enumerate_blocks(ctx, n)
+def _run_blocks(ctx, n, blocks, checks):
+    """A report record and a label table per block; no tables without checks."""
+    records = [ls.block_jsonable(ctx, b) for b in blocks]
+    if not checks:
+        return records, []
+    tables = [bc.block_table(ctx, b) for b in blocks]
+    bijection = bc.bijection_of(tables)
     generators = [bc.FIELD(1), bc.DIAGONAL]
-
-    def work(block):
-        rec = ls.block_jsonable(ctx, block)
-        if checks:
-            rec.update(bc.verify_block(ctx, block))
-            if "equivariance" in checks:
-                rec["equivariant"] = not bc.verify_equivariance_of_block(
-                    ctx, block, generators)
-            if "invariants" in checks:
-                ok = True
-                try:
-                    for wk in ls.enumerate_weights_k(ctx, block):
-                        ls.audit_weight_label(ctx, wk, n)
-                except ls.CheckFailed:
-                    ok = False
-                rec["invariants_ok"] = ok
-        return rec
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(work, blocks))
-    else:
-        records = [work(b) for b in blocks]
-    return records
+    for rec, table in zip(records, tables):
+        rec.update(bc.verify_block(ctx, table))
+        if "equivariance" in checks:
+            rec["equivariant"] = not bc.verify_equivariance_of_block(
+                ctx, table.pairs, bijection, generators)
+        if "invariants" in checks:
+            try:
+                for wk in table.weights_k:
+                    ls.audit_weight_label(ctx, wk, n)
+                rec["invariants_ok"] = True
+            except ls.CheckFailed:
+                rec["invariants_ok"] = False
+    return records, tables
 
 
 def _passes(records, checks):
@@ -89,8 +84,8 @@ def _passes(records, checks):
     return True
 
 
-def _build_report(ctx, n, checks, jobs):
-    records = _run_blocks(ctx, n, checks, jobs)
+def _build_report(ctx, n, checks):
+    records, tables = _run_blocks(ctx, n, ls.enumerate_blocks(ctx, n), checks)
     report = {
         "version": __version__,
         "context": _context_jsonable(ctx),
@@ -111,7 +106,8 @@ def _build_report(ctx, n, checks, jobs):
         if not report["summary"]["partition_ok"]:
             report["summary"]["all_pass"] = False
         try:
-            bc.verify_action_laws(ctx, n)
+            bc.verify_action_laws(ctx, [ib for t in tables for ib, _ in t.pairs],
+                                  [w for t in tables for w in t.weights_q])
             report["summary"]["action_laws_ok"] = True
         except ls.CheckFailed:
             report["summary"]["action_laws_ok"] = False
@@ -161,7 +157,7 @@ def _emit(text, out):
 def cmd_blocks(args):
     _check_work_limit(args.p, args.f, args.n, args.work_limit)
     ctx = make_context(args.p, args.f, args.ell)
-    report = _build_report(ctx, args.n, set(), args.jobs)
+    report = _build_report(ctx, args.n, set())
     text = _report_json(report) if args.format == "json" else _report_csv(report)
     _emit(text, args.out)
     return 0
@@ -172,7 +168,7 @@ def cmd_verify(args):
     ctx = make_context(args.p, args.f, args.ell)
     checks = _parse_checks(args.checks)
     try:
-        report = _build_report(ctx, args.n, checks, args.jobs)
+        report = _build_report(ctx, args.n, checks)
     except Exception as exc:  # preserve partial output with a failure marker
         report = {"version": __version__, "context": _context_jsonable(ctx),
                   "n": args.n, "checks": sorted(checks), "blocks": [],
@@ -198,39 +194,40 @@ def cmd_sweep(args):
     os.makedirs(cache_dir, exist_ok=True)
     results = []
     status = 0
-    for p in _int_list(args.p):
-        for f in _int_list(args.f):
-            for ell in _int_list(args.ell):
-                for n in _int_list(args.n):
-                    entry = {"p": p, "f": f, "ell": ell, "n": n}
-                    key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
-                    path = os.path.join(cache_dir, key + ".json")
-                    try:
-                        _check_work_limit(p, f, n, args.work_limit)
-                        ctx = make_context(p, f, ell)
-                        report = _build_report(ctx, n, checks, args.jobs)
-                        text = _report_json(report)
-                    except (ValueError, AssertionError) as exc:
-                        entry["status"] = "error"
-                        entry["error"] = str(exc)
-                        results.append(entry)
-                        status = max(status, 2)
-                        continue
-                    if not report["summary"]["all_pass"]:
-                        entry["status"] = "failed"
-                        status = max(status, 1)
-                    elif os.path.exists(path):
-                        with open(path) as fh:
-                            cached = fh.read()
-                        if cached == text:
-                            entry["status"] = "match"
-                        else:
-                            entry["status"] = "regression"
-                            status = max(status, 1)
-                    else:
-                        _emit(text, path)
-                        entry["status"] = "new"
-                    results.append(entry)
+    grid = product(*map(_int_list, (args.p, args.f, args.ell, args.n)))
+    for p, f, ell, n in grid:
+        entry = {"p": p, "f": f, "ell": ell, "n": n}
+        key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
+        path = os.path.join(cache_dir, key + ".json")
+        try:
+            _check_work_limit(p, f, n, args.work_limit)
+            ctx = make_context(p, f, ell)
+        except ValueError as exc:
+            entry["status"] = "error"
+            entry["error"] = str(exc)
+            results.append(entry)
+            status = max(status, 2)
+            continue
+        try:
+            report = _build_report(ctx, n, checks)
+        except Exception as exc:  # a check raised, as in verify
+            entry["failed"] = f"{type(exc).__name__}: {exc}"
+            report = None
+        if report is None or not report["summary"]["all_pass"]:
+            entry["status"] = "failed"
+            status = max(status, 1)
+        elif os.path.exists(path):
+            with open(path) as fh:
+                cached = fh.read()
+            if cached == _report_json(report):
+                entry["status"] = "match"
+            else:
+                entry["status"] = "regression"
+                status = max(status, 1)
+        else:
+            _emit(_report_json(report), path)
+            entry["status"] = "new"
+        results.append(entry)
     summary = {"version": __version__, "cache_dir": cache_dir,
                "configs": results,
                "regressions": sum(1 for r in results
@@ -249,7 +246,9 @@ def _add_common(sub, grid=False):
     sub.add_argument("--n", type=kind, required=True, help="symplectic rank n")
     sub.add_argument("--out", default=None, help="write the report here")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; blocks run in one "
+                          "thread whatever its value")
     sub.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
                      help="refuse sizes whose bound q^(2n+1) exceeds this")
 

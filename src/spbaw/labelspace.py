@@ -29,10 +29,12 @@ def check(cond, msg):
         raise CheckFailed(msg)
 
 
+@lru_cache(maxsize=None)
 def x_minus_class(ctx):
     return ffpoly.classify(ffpoly.poly_x_minus_one(ctx), ctx)
 
 
+@lru_cache(maxsize=None)
 def x_plus_class(ctx):
     return ffpoly.classify(ffpoly.poly_x_plus_one(ctx), ctx)
 
@@ -364,12 +366,6 @@ class WeightLabelQ:
 class WeightLabelK:
     block: BlockLabel
     k: tuple                # sorted ((PolyClass, tuple of core towers), ...)
-
-    def k_of(self, pc):
-        for c, v in self.k:
-            if c == pc:
-                return v
-        return None
 
     def sort_key(self):
         return (self.block.sort_key(), tuple((c.sort_key(), v) for c, v in self.k))

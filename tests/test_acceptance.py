@@ -30,7 +30,7 @@ def per_block_reports():
         start = time.monotonic()
         ctx = make_context(p, 1, ell)
         blocks = ls.enumerate_blocks(ctx, n)
-        reports = [bc.verify_block(ctx, b) for b in blocks]
+        reports = [bc.verify_block(ctx, bc.block_table(ctx, b)) for b in blocks]
         elapsed = time.monotonic() - start
         out[(n, p, ell)] = (ctx, blocks, reports, elapsed)
     return out
@@ -69,8 +69,10 @@ def test_criterion_3_equivariance(per_block_reports):
         ok = ok and report["ok"]
         total += report["n_checked"]
         try:
-            bc.verify_action_laws(ctx, n)
-        except AssertionError:
+            bc.verify_action_laws(
+                ctx, [ib for b in blocks for ib in ls.enumerate_ibr(ctx, b)],
+                [w for b in blocks for w in ls.enumerate_weights_q(ctx, b)])
+        except ls.CheckFailed:
             ok = False
     _report("criterion 3: equivariance for field(1) and diagonal plus action laws",
             ok, f"{total} squares checked, zero violations")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from spbaw import bawcheck as bc, labelspace as ls, symbcomb
@@ -17,9 +19,14 @@ def all_ibrs(ctx, n):
             for ib in ls.enumerate_ibr(ctx, b)]
 
 
+def all_weights_q(ctx, n):
+    return [w for b in ls.enumerate_blocks(ctx, n)
+            for w in ls.enumerate_weights_q(ctx, b)]
+
+
 def test_bijection_on_all_w_zero_blocks():
     for b in ls.enumerate_blocks(CTX35, 1):
-        report = bc.verify_block(CTX35, b)
+        report = bc.verify_block(CTX35, bc.block_table(CTX35, b))
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
 
@@ -28,7 +35,7 @@ def test_bijection_on_all_w_zero_blocks():
                                    (CTX73, 1), (CTX73, 2), (CTX313, 1), (CTX925, 1)])
 def test_bijection_blockwise(ctx, n):
     for b in ls.enumerate_blocks(ctx, n):
-        report = bc.verify_block(ctx, b)
+        report = bc.verify_block(ctx, bc.block_table(ctx, b))
         assert report["bijective"], f"block {b} not bijective"
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
 
@@ -82,9 +89,8 @@ def test_identity_class_fixed_by_actions():
 
 
 def test_diagonal_squared_and_laws():
-    assert bc.verify_action_laws(CTX35, 1)
-    assert bc.verify_action_laws(CTX35, 2)
-    assert bc.verify_action_laws(CTX925, 1)
+    for ctx, n in [(CTX35, 1), (CTX35, 2), (CTX925, 1)]:
+        assert bc.verify_action_laws(ctx, all_ibrs(ctx, n), all_weights_q(ctx, n))
 
 
 def test_diagonal_fixes_ibr_iff_degenerate():
@@ -208,13 +214,16 @@ def test_deep_core_towers_end_to_end():
     blocks = [b for b in ls.enumerate_blocks(ctx, 3)
               if ls.weight_of(ctx, b, xm) == 3]
     assert blocks
+    tables = {b: bc.block_table(ctx, b) for b in ls.enumerate_blocks(ctx, 3)}
+    bijection = bc.bijection_of(tables.values())
     deep_seen = 0
     for b in blocks:
         ks = ls.enumerate_weights_k(ctx, b)
-        report = bc.verify_block(ctx, b)
+        report = bc.verify_block(ctx, tables[b])
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
-        assert not bc.verify_equivariance_of_block(ctx, b, [FIELD(1), DIAGONAL])
+        assert not bc.verify_equivariance_of_block(ctx, tables[b].pairs, bijection,
+                                                   [FIELD(1), DIAGONAL])
         for wk in ks:
             for pc, fam in wk.k:
                 deep_seen += sum(1 for tw in fam if len(tw) > 1)
@@ -233,10 +242,13 @@ def test_e_three_modes_with_positive_weight(p, ell):
     heavy = [b for b in blocks
              if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert heavy
-    for b in blocks:
-        r = bc.verify_block(ctx, b)
+    tables = [bc.block_table(ctx, b) for b in blocks]
+    bijection = bc.bijection_of(tables)
+    for t in tables:
+        r = bc.verify_block(ctx, t)
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
-        assert not bc.verify_equivariance_of_block(ctx, b, [FIELD(1), DIAGONAL])
+        assert not bc.verify_equivariance_of_block(ctx, t.pairs, bijection,
+                                                   [FIELD(1), DIAGONAL])
 
 
 def test_field_equivariance_where_the_action_moves_blocks():
@@ -250,9 +262,42 @@ def test_field_equivariance_where_the_action_moves_blocks():
              if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert len(moved) > len(blocks) // 2 and heavy
     for b in blocks:
-        r = bc.verify_block(ctx, b)
+        r = bc.verify_block(ctx, bc.block_table(ctx, b))
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
     report = bc.verify_equivariance(ctx, 2)
     assert report["ok"]
     universe = ls.enumerate_ibr_universe(ctx, 2)
     assert len(universe) == sum(len(ls.enumerate_ibr(ctx, b)) for b in blocks)
+
+
+def test_duplicated_brauer_label_breaks_bijectivity(monkeypatch):
+    # the table keeps each block's pairs as a list: a label enumerated
+    # twice counts twice and makes its block non-bijective
+    block = ls.enumerate_blocks(CTX35, 2)[0]
+    enumerate_ibr = ls.enumerate_ibr
+    monkeypatch.setattr(ls, "enumerate_ibr",
+                        lambda ctx, b: enumerate_ibr(ctx, b) + enumerate_ibr(ctx, b)[:1])
+    report = bc.verify_block(CTX35, bc.block_table(CTX35, block))
+    assert report["n_ibr"] == len(enumerate_ibr(CTX35, block)) + 1
+    assert not report["bijective"]
+
+
+def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
+    # the bijection is looked up, not recomputed, at the moved label: a
+    # label the actions send outside the rank's labels is a violation
+    tables = {b: bc.block_table(CTX35, b) for b in ls.enumerate_blocks(CTX35, 2)}
+    bijection = bc.bijection_of(tables.values())
+    block = next(b for b, t in tables.items() if t.pairs)
+    target = tables[block].pairs[0][0]
+    act_on_ibr = bc.act_on_ibr
+
+    def stray(ctx, action, ib):
+        moved = act_on_ibr(ctx, action, ib)
+        return replace(moved, j=2) if ib == target else moved   # j is in Z/2
+
+    monkeypatch.setattr(bc, "act_on_ibr", stray)
+    for b, t in tables.items():
+        violations = bc.verify_equivariance_of_block(CTX35, t.pairs, bijection,
+                                                     [FIELD(1), DIAGONAL])
+        assert bool(violations) == (b == block)
+        assert all(v["lhs"] is None for v in violations)

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from spbaw.cli import main
+from spbaw.labelspace import CheckFailed
 
 
 def run_cli(args):
@@ -131,7 +132,7 @@ def test_sweep_env_cache_dir(tmp_path, monkeypatch):
 def test_verify_preserves_partial_output_on_failure(tmp_path, monkeypatch):
     import spbaw.cli as cli
 
-    def boom(ctx, n, checks, jobs):
+    def boom(ctx, n, checks):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli, "_build_report", boom)
@@ -154,9 +155,54 @@ def test_sweep_unknown_check_rejected(tmp_path):
     assert not cache.exists() or not any(cache.iterdir())
 
 
+def test_verify_maps_each_brauer_label_once(tmp_path, monkeypatch):
+    from spbaw import bawcheck as bc, labelspace as ls
+    calls = {"enumerate_blocks": 0, "brauer_to_weight": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ls, "enumerate_blocks")
+    counted(bc, "brauer_to_weight")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert calls == {"enumerate_blocks": 1,
+                     "brauer_to_weight": report["summary"]["total_ibr"]}
+
+
+@pytest.mark.parametrize("exc", [AssertionError, CheckFailed])
+def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
+    # a check raising inside the report is a failed config (exit 1), as in
+    # verify; only size and context errors are usage errors (exit 2)
+    from spbaw import bawcheck as bc
+
+    def broken(ctx, ib):
+        raise exc("synthetic check failure")
+
+    monkeypatch.setattr(bc, "brauer_to_weight", broken)
+    cache, out = tmp_path / "cache", tmp_path / "sweep.json"
+    code = main(["sweep", "--p", "3", "--f", "1", "--ell", "5", "--n", "1",
+                 "--checks", "counts", "--cache-dir", str(cache),
+                 "--out", str(out)])
+    assert code == 1
+    summary = json.loads(out.read_text())
+    assert [c["status"] for c in summary["configs"]] == ["failed"]
+    assert summary["configs"][0]["failed"].startswith(exc.__name__)
+    assert summary["regressions"] == 1
+    assert not any(cache.iterdir())
+
+
 # Faults injected into a child interpreter; each breaks one check and
 # nothing else.  The audit sees a weight one too large; field(i) acts as
-# the diagonal inside the action-law check only.
+# the diagonal inside the action-law check only; the bijection sees a
+# symbol core that is not its block's.
 _BREAK_AUDIT = """
 import sys
 import spbaw.labelspace as ls
@@ -171,19 +217,30 @@ _BREAK_ACTION_LAWS = """
 import spbaw.bawcheck as bc
 bc.FIELD = lambda i: bc.DIAGONAL
 """
+_BREAK_BIJECTION = """
+import sys
+import spbaw.symbcomb as sc
+sym_core_quotient = sc.sym_core_quotient
+def skewed(sym, e, mode):
+    core, pair = sym_core_quotient(sym, e, mode)
+    caller = sys._getframe(1).f_code.co_name
+    return (sc.LSymbol((9,), ()) if caller == "brauer_to_weight" else core), pair
+sc.sym_core_quotient = skewed
+"""
 
 
-@pytest.mark.parametrize("inject,broken",
-                         [(_BREAK_AUDIT, "invariants_ok"),
-                          (_BREAK_ACTION_LAWS, "action_laws_ok")],
-                         ids=["audit", "action_laws"])
-def test_check_failures_survive_python_O(inject, broken):
-    script = inject + """
+@pytest.mark.parametrize("inject,broken,n",
+                         [(_BREAK_AUDIT, "invariants_ok", 1),
+                          (_BREAK_ACTION_LAWS, "action_laws_ok", 1),
+                          (_BREAK_BIJECTION, "failed", 2)],
+                         ids=["audit", "action_laws", "bijection"])
+def test_check_failures_survive_python_O(inject, broken, n):
+    script = inject + f"""
 import sys
 if __debug__:
     sys.exit(3)
 from spbaw.cli import main
-sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "1"]))
+sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "{n}"]))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
@@ -191,6 +248,9 @@ sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "1"]))
     report = json.loads(proc.stdout)
     summary = report["summary"]
     assert summary["all_pass"] is False
+    if broken == "failed":
+        assert report["failed"].startswith("CheckFailed"), report["failed"]
+        return
     invariants = [rec["invariants_ok"] for rec in report["blocks"]]
     if broken == "invariants_ok":
         assert not all(invariants)
