@@ -7,7 +7,8 @@
 Reports are JSON (or a flat CSV projection) with a stable schema, byte
 identical across runs and --jobs settings; blocks run in one thread, and
 --jobs is accepted but changes nothing.  Exit codes: 0 all requested
-checks pass, 1 a check failed, 2 usage or configuration error.
+checks pass, 1 a check failed, 2 usage or configuration error (a rank
+below 1, a size over --work-limit, or an output that cannot be written).
 """
 
 import argparse
@@ -31,6 +32,8 @@ def _context_jsonable(ctx):
 
 
 def _check_work_limit(p, f, n, work_limit):
+    if n < 1:
+        raise ValueError(f"symplectic rank n must be at least 1, got {n}")
     est = (p ** f) ** (2 * n + 1)   # size bound q^(2n+1)
     if est > work_limit:
         raise ValueError(
@@ -286,7 +289,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"sp-baw: error: {exc}\n")
 
 

@@ -20,6 +20,12 @@ and (for cohooks, when the runner wraps) flips the chain, so extraction
 pulls the labels back by the observed shift before assembling the
 quotient pair.  The pair [A; B] of e-tuples is unordered; orientation 0
 attaches the canonically smaller tuple to chain 0.
+
+Reconstruction inverts extraction directly.  Shifting the core by a
+multiple of 2e beads moves every runner round an even number of times, so
+the frame's track labels are the absolute ones: A[r] goes on track (r, 0),
+B[r] on track (r, 1), and the one symbol this builds is re-extracted as a
+check.
 """
 
 from .partcomb import (beta_set, enumerate_tuples, partition_of_beta)
@@ -152,67 +158,35 @@ def is_pair_degenerate(pair):
     return pair[0] == pair[1]
 
 
-def _rho(r, side, e, mode):
-    """Track-label image under one frame shift."""
-    if r < e - 1:
-        return (r + 1, side)
-    return (0, side if mode == HOOK else 1 - side)
-
-
-def _attach(core, assignment, e, mode, frame):
-    """Build the symbol with the given raw track assignment over the core
-    shifted by `frame` beads."""
-    rows = shift_rows(core.rows, frame)
-    tr = _tracks(rows, e, mode)
-    new = {}
-    for key, heights in tr.items():
-        k = len(heights)
-        assert heights == tuple(range(k - 1, -1, -1)), "shifted core must stay packed"
-        q = assignment.get(key, ())
-        if len(q) > k:
-            return None
-        new[key] = beta_set(q, k)
-    raw = _untracks(new, e, mode)
-    return LSymbol(*raw)
+def _attach(core, first, second, e, mode):
+    """The symbol with e-core `core`, chain 0 carrying `first` and chain 1
+    carrying `second`; re-extracted before it is returned."""
+    assert mode in (HOOK, COHOOK)
+    needed = max(map(len, first + second), default=0)
+    tr = _tracks(shift_rows(core.rows, 2 * e * (needed + 1)), e, mode)
+    quot = {(r, side): p for side, tup in enumerate((first, second))
+            for r, p in enumerate(tup)}
+    new = {key: beta_set(quot.get(key, ()), len(heights))
+           for key, heights in tr.items()}
+    sym = LSymbol(*_untracks(new, e, mode))
+    got = _extract(sym, e, mode)
+    if got != (core, first, second) and not (
+            is_degenerate(core) and got == (core, second, first)):
+        raise ValueError(f"{core} * [{first}; {second}] re-extracts as {got}: "
+                         f"not an {e}-core with {e}-tuples in {mode} mode")
+    return sym
 
 
 def from_core_quotient_sym(core, pair, e, mode):
-    """All symbols with the given e-core and unordered quotient pair.
-
-    Exactly two when both the core and the pair are non-degenerate,
-    otherwise one.  Every candidate is validated by recomputing its core
-    and quotient.
-    """
-    assert mode in (HOOK, COHOOK)
+    """All symbols with the given e-core and unordered quotient pair:
+    exactly two when both the core and the pair are non-degenerate,
+    otherwise one."""
     A, B = pair
-    assert len(A) == e and len(B) == e
-    ccore, ca, cb = _extract(core, e, mode)
-    if ccore != core or any(ca) or any(cb):
-        raise ValueError(f"{core} is not reduced to an {e}-core in {mode} mode")
-    want = tuple(sorted((tuple(A), tuple(B))))
-    needed = max((len(p) for tup in (A, B) for p in tup), default=0)
-    frame = 2 * e * (needed + 1)
-    found = set()
-    for first, second in ((A, B), (B, A)):
-        for k in range(2 * e):
-            assignment = {}
-            for r in range(e):
-                key0, key1 = (r, 0), (r, 1)
-                for _ in range(k):
-                    key0 = _rho(*key0, e, mode)
-                    key1 = _rho(*key1, e, mode)
-                assignment[key0] = first[r]
-                assignment[key1] = second[r]
-            cand = _attach(core, assignment, e, mode, frame)
-            if cand is None:
-                continue
-            got_core, ga, gb = _extract(cand, e, mode)
-            if got_core == core and tuple(sorted((ga, gb))) == want:
-                found.add(cand)
-    out = tuple(sorted(found))
-    expect = 1 if (is_degenerate(core) or is_pair_degenerate(want)) else 2
-    assert len(out) == expect, (
-        f"(core, quotient) -> symbols yielded {len(out)}, expected {expect}")
+    out = tuple(sorted({_attach(core, A, B, e, mode), _attach(core, B, A, e, mode)}))
+    expect = 1 if (is_degenerate(core) or is_pair_degenerate(pair)) else 2
+    if len(out) != expect:
+        raise AssertionError(
+            f"(core, quotient) -> symbols yielded {len(out)}, expected {expect}")
     return out
 
 
@@ -223,15 +197,13 @@ def orientation_of(sym, e, mode):
 
 
 def star_plain(core, pair, orient, e, mode):
-    """The reconstruction kappa * (Q, orient); orient-independent when the
-    core or the quotient is degenerate."""
-    cands = from_core_quotient_sym(core, pair, e, mode)
-    if len(cands) == 1:
-        return cands[0]
-    for cand in cands:
-        if orientation_of(cand, e, mode) == orient % 2:
-            return cand
-    raise AssertionError("no candidate carries the requested orientation")
+    """The reconstruction kappa * (Q, orient): orientation 0 puts the
+    canonically smaller tuple on chain 0.  orient-independent when the core
+    or the quotient is degenerate."""
+    A, B = sorted(pair)
+    if orient % 2:
+        A, B = B, A
+    return _attach(core, A, B, e, mode)
 
 
 def star_oriented(core, core_orient, pair, pair_orient, e, mode):

@@ -70,6 +70,41 @@ def test_invalid_ell_exits_2():
     assert "ell" in err
 
 
+@pytest.mark.parametrize("flags,command,n", [([], "verify", "0"),
+                                             ([], "verify", "-1"),
+                                             ([], "blocks", "0"),
+                                             (["-O"], "verify", "0")])
+def test_rank_below_one_exits_2(flags, command, n):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "spbaw.cli", command, "--p", "3",
+         "--f", "1", "--ell", "5", "--n", n], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "rank n must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_sweep_rank_below_one_is_an_error(tmp_path):
+    out = tmp_path / "s.json"
+    code = main(["sweep", "--p", "3", "--ell", "5", "--n", "0,1",
+                 "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+    assert code == 2
+    configs = json.loads(out.read_text())["configs"]
+    assert [c["status"] for c in configs] == ["error", "new"]
+    assert "rank n must be at least 1" in configs[0]["error"]
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for args in (["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "1",
+                  "--out", str(tmp_path / "missing" / "r.json")],
+                 ["sweep", "--p", "3", "--ell", "5", "--n", "1",
+                  "--cache-dir", str(not_a_dir)]):
+        code, out, err = run_cli(args)
+        assert code == 2, err
+        assert err.startswith("sp-baw: error: ") and "Traceback" not in err
+
+
 def test_work_limit_refusal():
     code, out, err = run_cli(["blocks", "--p", "3", "--f", "2", "--n", "8",
                               "--ell", "5"])

@@ -125,6 +125,36 @@ def test_round_trip_containment():
                 assert sc.sym_core_quotient(c, e, mode) == (core, pair)
 
 
+def test_reconstruction_matches_brute_force_grouping():
+    """Grouping every symbol of rank <= 5 by (core, quotient pair) gives
+    exactly the symbols that from_core_quotient_sym builds."""
+    symbols = [s for r in range(6) for s in sc.enumerate_symbols(r)]
+    for e in (1, 2, 3):
+        for mode in (HOOK, COHOOK):
+            groups = {}
+            for s in symbols:
+                groups.setdefault(sc.sym_core_quotient(s, e, mode), set()).add(s)
+            for (core, pair), syms in groups.items():
+                got = sc.from_core_quotient_sym(core, pair, e, mode)
+                assert set(got) == syms, (e, mode, core, pair)
+
+
+def test_star_plain_inverts_orientation():
+    rng = random.Random(17)
+    for mode in (HOOK, COHOOK):
+        for _ in range(500):
+            s = random_symbol(rng, max_entry=8, max_len=4)
+            e = rng.randint(1, 4)
+            core, pair = sc.sym_core_quotient(s, e, mode)
+            assert sc.star_plain(core, pair, sc.orientation_of(s, e, mode),
+                                 e, mode) == s
+            s0, s1 = (sc.star_plain(core, pair, o, e, mode) for o in (0, 1))
+            if sc.is_degenerate(core):
+                assert s0 == s1
+            else:
+                assert (s0 != s1) == (not sc.is_pair_degenerate(pair))
+
+
 def test_from_core_quotient_counts():
     # empty core, all-empty quotient -> the empty symbol
     empty_pair = (((), ()), ((), ()))
