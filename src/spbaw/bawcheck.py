@@ -12,11 +12,12 @@ the divisors by the p-power map.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import labelspace as ls, partcomb, symbcomb
 from .ffpoly import frobenius_class
 from .labelspace import (BlockLabel, IBrLabel, WeightLabelQ, block_classes,
-                         block_of_ibr, check, is_x_minus, is_x_plus)
+                         check, is_x_minus, is_x_plus)
 
 
 @dataclass(frozen=True)
@@ -48,42 +49,35 @@ def _unflatten(seq):
     return pair, 0 if (a, b) == pair else 1
 
 
-def _solve_orientation(kappa, pair, lam, e, mode):
-    """The orient with kappa * (pair, orient) = lam; a mismatch is a
-    convention bug, never a data error."""
-    orient = symbcomb.orientation_of(lam, e, mode)
-    rebuilt = symbcomb.star_plain(kappa, pair, orient, e, mode)
-    if rebuilt != lam:
-        raise AssertionError(
-            f"reconstruction mismatch: {kappa} * (Q,{orient}) = {rebuilt} != {lam}")
-    return orient
-
-
 def brauer_to_weight(ctx, ib):
-    """The weight label of a Brauer label inside its own block."""
-    block = block_of_ibr(ctx, ib)
+    """The weight label of a Brauer label inside its own block.  One core
+    and quotient extraction per component gives both the block's core and
+    the weight's entry, with the orientation read off the extracted
+    chains; the block follows labelspace.block_of_ibr, and verify_block's
+    round trip checks the reconstruction."""
     e, mode = ctx.e, ctx.mode
-    entries = []
-    for pc in block_classes(ctx, block.s):
+    kappa, entries = [], []
+    i, i_collapsed = 0, True
+    for pc in block_classes(ctx, ib.s):
         lam = ib.part_of(pc)
-        kappa = block.core_of(pc)
         if pc.family != "F0":
             core, quot = partcomb.e_core_quotient(lam, pc.e_gamma)
-            check(core == kappa, f"core {core} != block core {kappa} at {pc}")
+            kappa.append((pc, core))
             entries.append((pc, quot))
             continue
-        core, pair = symbcomb.sym_core_quotient(lam, e, mode)
-        check(core == kappa, f"core {core} != block core {kappa} at {pc}")
+        core, A, B = symbcomb._extract(lam, e, mode)
+        pair, orient = _unflatten(A + B)
+        kappa.append((pc, core))
         if is_x_minus(pc, ctx):
-            j = _solve_orientation(kappa, pair, lam, e, mode)
-            entries.append((pc, _flatten(pair, j)))
-        elif not symbcomb.is_degenerate(kappa):
-            orient = _solve_orientation(kappa, pair, lam, e, mode)
-            entries.append((pc, _flatten(pair, (orient - block.i) % 2)))
+            entries.append((pc, _flatten(pair, orient)))
+        elif not symbcomb.is_degenerate(core):
+            i, i_collapsed = ib.j, False
+            entries.append((pc, _flatten(pair, (orient - i) % 2)))
         else:
             if symbcomb.is_degenerate(lam):
                 check(symbcomb.is_pair_degenerate(pair), f"{lam}: quotient {pair}")
             entries.append((pc, _flatten(pair, ib.j)))
+    block = BlockLabel(s=ib.s, kappa=tuple(kappa), i=i, i_collapsed=i_collapsed)
     return WeightLabelQ(block=block, q=tuple(entries))
 
 
@@ -128,7 +122,12 @@ def weight_to_brauer(ctx, wq):
 def act_on_semisimple(ctx, action, s):
     if action.kind == "diagonal":
         return s
-    items = [(frobenius_class(pc, action.power, ctx), m) for pc, m in s.entries]
+    return _field_on_semisimple(ctx, action.power, s)
+
+
+@lru_cache(maxsize=None)
+def _field_on_semisimple(ctx, power, s):
+    items = [(frobenius_class(pc, power, ctx), m) for pc, m in s.entries]
     out = ls._make_semisimple(ctx, items, s.eta_plus)
     check(out.eta_minus == s.eta_minus, "type signs are carried by the relabeling")
     return out
@@ -192,6 +191,8 @@ class BlockTable:
 
 def block_table(ctx, block):
     pairs = [(ib, brauer_to_weight(ctx, ib)) for ib in ls.enumerate_ibr(ctx, block)]
+    for ib, w in pairs:
+        check(w.block == block, f"{ib} maps into {w.block}, not its block {block}")
     return BlockTable(pairs, ls.enumerate_weights_q(ctx, block),
                       ls.enumerate_weights_k(ctx, block))
 

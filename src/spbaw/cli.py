@@ -284,10 +284,18 @@ def build_parser():
     return parser
 
 
+def _check_out_dir(out):
+    """Refuse an --out whose directory is missing before any work is done."""
+    folder = os.path.dirname(out) if out else ""
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"cannot write {out}: {folder} is not a directory")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"sp-baw: error: {exc}\n")

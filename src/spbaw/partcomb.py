@@ -8,6 +8,7 @@ normalized to a multiple of e (so the ordering is stable under length
 changes by whole rows of beads).
 """
 
+from functools import lru_cache
 from itertools import product
 
 
@@ -36,6 +37,7 @@ def _runner_heights(beta, e):
     return [tuple(sorted(h, reverse=True)) for h in runners]
 
 
+@lru_cache(maxsize=None)
 def e_core_quotient(p, e):
     """The e-core and ordered e-quotient of p (single-runner abacus form)."""
     assert e >= 1
@@ -59,6 +61,7 @@ def is_e_core(p, e):
     return not any(x - e >= 0 and x - e not in s for x in beta)
 
 
+@lru_cache(maxsize=None)
 def from_core_quotient(core, quotient):
     """The unique partition with the given e-core and e-quotient."""
     e = len(quotient)

@@ -25,8 +25,11 @@ Reconstruction inverts extraction directly.  Shifting the core by a
 multiple of 2e beads moves every runner round an even number of times, so
 the frame's track labels are the absolute ones: A[r] goes on track (r, 0),
 B[r] on track (r, 1), and the one symbol this builds is re-extracted as a
-check.
+check.  Extraction and reconstruction are memoized: label sets are
+products of components, so the same symbol recurs in many labels.
 """
+
+from functools import lru_cache
 
 from .partcomb import (beta_set, enumerate_tuples, partition_of_beta)
 
@@ -122,6 +125,7 @@ def _pullback(r, side, u, e, mode):
     return r_abs, s_abs
 
 
+@lru_cache(maxsize=None)
 def _extract(sym, e, mode):
     """(core, A, B): quotient tuples in absolute chain order (A = chain 0)."""
     rows = sym.rows
@@ -158,6 +162,7 @@ def is_pair_degenerate(pair):
     return pair[0] == pair[1]
 
 
+@lru_cache(maxsize=None)
 def _attach(core, first, second, e, mode):
     """The symbol with e-core `core`, chain 0 carrying `first` and chain 1
     carrying `second`; re-extracted before it is returned."""

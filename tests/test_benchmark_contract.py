@@ -28,7 +28,7 @@ def _load(name):
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["reports"]
 
 
-@pytest.mark.parametrize("key", ["3,1,5,1", "3,1,5,2", "3,1,5,3", "3,1,11,2"])
+@pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_verify_report_matches_golden_hash(key, tmp_path):
     p, f, ell, n = key.split(",")
     out = tmp_path / "report.json"

@@ -237,7 +237,8 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 # Faults injected into a child interpreter; each breaks one check and
 # nothing else.  The audit sees a weight one too large; field(i) acts as
 # the diagonal inside the action-law check only; the bijection sees a
-# symbol core that is not its block's.
+# symbol core that is not its block's, so a weight leaves the block it is
+# tabulated for.
 _BREAK_AUDIT = """
 import sys
 import spbaw.labelspace as ls
@@ -255,12 +256,12 @@ bc.FIELD = lambda i: bc.DIAGONAL
 _BREAK_BIJECTION = """
 import sys
 import spbaw.symbcomb as sc
-sym_core_quotient = sc.sym_core_quotient
+extract = sc._extract
 def skewed(sym, e, mode):
-    core, pair = sym_core_quotient(sym, e, mode)
+    core, A, B = extract(sym, e, mode)
     caller = sys._getframe(1).f_code.co_name
-    return (sc.LSymbol((9,), ()) if caller == "brauer_to_weight" else core), pair
-sc.sym_core_quotient = skewed
+    return (sc.LSymbol((9,), ()) if caller == "brauer_to_weight" else core), A, B
+sc._extract = skewed
 """
 
 
@@ -293,3 +294,43 @@ sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "{n}"]))
     else:
         assert all(invariants)
         assert summary["action_laws_ok"] is False
+
+
+# Every X-1 and X+1 entry flattened the other way round: the map stays a
+# bijection onto the block's weights, so only the round trip through
+# weight_to_brauer can see the fault.
+_FLIP_ORIENTATION = """
+import spbaw.bawcheck as bc
+flatten = bc._flatten
+bc._flatten = lambda pair, orient: flatten(pair, orient + 1)
+"""
+
+
+def test_round_trip_guards_the_orientation():
+    script = _FLIP_ORIENTATION + """
+import sys
+if __debug__:
+    sys.exit(3)
+from spbaw.cli import main
+sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert "failed" not in report
+    blocks = report["blocks"]
+    assert not all(rec["bijective"] for rec in blocks)
+    assert all(rec["n_ibr"] == rec["n_weights_q"] == rec["n_weights_k"]
+               and rec["equivariant"] and rec["invariants_ok"]
+               for rec in blocks)
+
+
+def test_sweep_checks_out_before_any_work(tmp_path):
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(["sweep", "--p", "3", "--ell", "5", "--n", "1",
+                              "--cache-dir", str(cache),
+                              "--out", str(tmp_path / "missing" / "s.json")])
+    assert code == 2, err
+    assert err.startswith("sp-baw: error: ") and "Traceback" not in err
+    assert not cache.exists()

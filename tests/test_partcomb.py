@@ -150,3 +150,17 @@ def test_enumerate_core_towers_counts_match_partitions():
     for ell in (2, 3, 5):
         for v in range(7):
             assert len(pc.enumerate_core_towers(ell, v)) == len(pc.enumerate_partitions(v))
+
+
+def test_memoized_kernels_equal_their_uncached_bodies():
+    for m in range(9):
+        for p in pc.enumerate_partitions(m):
+            for e in (1, 2, 3, 5):
+                got = pc.e_core_quotient(p, e)
+                assert got == pc.e_core_quotient.__wrapped__(p, e)
+                assert pc.e_core_quotient(p, e) is got
+                assert (pc.from_core_quotient(*got)
+                        == pc.from_core_quotient.__wrapped__(*got) == p)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pc.from_core_quotient((2,), ((), (1,)))

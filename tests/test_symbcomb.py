@@ -254,3 +254,22 @@ def test_removal_order_independence():
 def test_even_defect_mod_four_is_unordered_invariant():
     for d in range(0, 9, 2):
         assert (d - (-d)) % 4 == 0
+
+
+@pytest.mark.parametrize("mode", [HOOK, COHOOK])
+def test_memoized_kernels_equal_their_uncached_bodies(mode):
+    for e in (1, 2, 3):
+        for n in range(5):
+            for sym in sc.enumerate_symbols(n):
+                got = sc._extract(sym, e, mode)
+                assert got == sc._extract.__wrapped__(sym, e, mode)
+                assert sc._extract(sym, e, mode) is got
+                core, A, B = got
+                built = sc._attach(core, A, B, e, mode)
+                assert built == sc._attach.__wrapped__(core, A, B, e, mode) == sym
+
+
+def test_attach_rejects_a_non_core_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sc._attach(LSymbol((1,), ()), ((),), ((),), 1, HOOK)
