@@ -61,8 +61,11 @@ def _run_blocks(ctx, n, blocks, checks):
     for rec, table in zip(records, tables):
         rec.update(bc.verify_block(ctx, table))
         if "equivariance" in checks:
-            rec["equivariant"] = not bc.verify_equivariance_of_block(
+            violations = bc.verify_equivariance_of_block(
                 ctx, table.pairs, bijection, generators)
+            rec["equivariant"] = not violations
+            if violations:
+                rec["equivariance_witness"] = violations[0]
         if "invariants" in checks:
             try:
                 for wk in table.weights_k:
@@ -185,6 +188,16 @@ def cmd_verify(args):
     return 0 if report["summary"]["all_pass"] else 1
 
 
+def _differs_in_version_only(cached, report):
+    """True when the cached report text is report's bytes up to "version"."""
+    try:
+        old = json.loads(cached)
+    except ValueError:
+        return False
+    return (isinstance(old, dict) and
+            _report_json({**old, "version": report["version"]}) == _report_json(report))
+
+
 def _int_list(text):
     return [int(x) for x in text.split(",") if x]
 
@@ -224,6 +237,8 @@ def cmd_sweep(args):
                 cached = fh.read()
             if cached == _report_json(report):
                 entry["status"] = "match"
+            elif _differs_in_version_only(cached, report):
+                entry["status"] = "version_changed"
             else:
                 entry["status"] = "regression"
                 status = max(status, 1)
@@ -248,7 +263,8 @@ def _add_common(sub, grid=False):
                      help="odd prime ell different from p")
     sub.add_argument("--n", type=kind, required=True, help="symplectic rank n")
     sub.add_argument("--out", default=None, help="write the report here")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if not grid:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility; blocks run in one "
                           "thread whatever its value")

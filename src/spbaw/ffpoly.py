@@ -88,30 +88,47 @@ def poly_gcd(a, b, gf):
 
 
 def is_irreducible(g, ctx):
-    """g monic of degree d is irreducible iff X^(q^d) = X mod g and
-    gcd(X^(q^(d/r)) - X, g) = 1 for every prime r dividing d."""
+    """Rabin's test: g monic of degree d is irreducible iff X^(q^d) = X
+    mod g and gcd(X^(q^(d/r)) - X, g) = 1 for every prime r dividing d.
+
+    The q-power map is F_q-linear on F_q[X]/(g) and sends sum a_i X^i to
+    sum a_i X^(iq), so its matrix has the rows X^(iq) mod g.  X^q mod g is
+    the one modular power taken; each X^(q^k), k = 2..d, is the image of
+    X^(q^(k-1)) under that matrix.
+    """
     gf = ctx.gf
     d = poly_deg(g)
     if d < 1:
         return False
     if d == 1:
         return True
-    x = (0, 1)
-    xq = poly_powmod(x, ctx.q ** d, g, gf)
-    if xq != poly_rem(x, g, gf):
+    xq = poly_powmod((0, 1), ctx.q, g, gf)
+    rows = [(1,) + (0,) * (d - 1)]
+    for _ in range(d - 1):
+        row = poly_rem(poly_mul(rows[-1], xq, gf), g, gf)
+        rows.append(row + (0,) * (d - len(row)))
+    powers = [None, rows[1]]   # powers[k] = X^(q^k) mod g
+    for _ in range(d - 1):
+        powers.append(_apply(rows, powers[-1], gf))
+    x = (0, 1) + (0,) * (d - 2)
+    if powers[d] != x:
         return False
     for r in _prime_divisors(d):
-        xqr = poly_powmod(x, ctx.q ** (d // r), g, gf)
-        diff = poly_trim(tuple(gf.sub(a, b) for a, b in
-                               _zip_pad(xqr, poly_rem(x, g, gf))))
+        diff = poly_trim(tuple(gf.sub(a, b) for a, b in zip(powers[d // r], x)))
         if poly_gcd(diff, g, gf) != (1,):
             return False
     return True
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))
+def _apply(rows, vec, gf):
+    """The vector sum vec_i rows[i] over F_q."""
+    out = [0] * len(rows)
+    for a, row in zip(vec, rows):
+        if a:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] = gf.add(out[j], gf.mul(a, r))
+    return tuple(out)
 
 
 def _prime_divisors(n):
@@ -297,8 +314,9 @@ def is_ell_prime_order(pc, ctx):
     factors = [pc.factor] if pc.family != "F2" else [pc.factor, star(pc.factor, ctx)]
     results = set()
     for fac in factors:
-        d = poly_deg(fac)
-        m = ctx.q ** d - 1
+        # an F1 root of degree 2d has norm 1 down to F_(q^d): its order
+        # divides q^d + 1
+        m = ctx.q ** pc.delta + 1 if pc.family == "F1" else ctx.q ** poly_deg(fac) - 1
         while m % ctx.ell == 0:
             m //= ctx.ell
         results.add(poly_powmod((0, 1), m, fac, gf) == (1,))
@@ -309,10 +327,12 @@ def is_ell_prime_order(pc, ctx):
 def enumerate_classes(ctx, max_total_deg, ell_prime_only=False):
     """All elementary-divisor classes of degree <= max_total_deg, sorted.
 
-    Only the irreducible factors are searched for.  An F1 member of degree
-    2d is a palindrome (1, c_1, ..., c_d, ..., c_1, 1), so q^d candidates;
-    an F2 product of degree 2d has a factor of degree d, tested once per
-    star pair.
+    Only the irreducible factors are searched for, each at degree
+    d <= max_total_deg / 2, q^d monic candidates h per degree.  An F1
+    member of degree 2d is the palindrome X^d h(X + 1/X), which is
+    irreducible iff h is and h(2) h(-2) is a non-square in F_q (Meyn
+    1990, q odd); an F2 product of degree 2d has a factor of degree d,
+    tested once per star pair.
     """
     return list(_enumerate_classes_cached(ctx, max_total_deg, ell_prime_only))
 
@@ -324,17 +344,44 @@ def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
         factors.append(poly_x_plus_one(ctx))
     for d in range(1, max_total_deg // 2 + 1):
         for c in product(range(ctx.q), repeat=d):
-            pal = (1,) + c + c[-2::-1] + (1,)
-            if is_irreducible(pal, ctx):
-                factors.append(pal)
-            g = c + (1,)
+            h = c + (1,)
+            if is_irreducible(h, ctx) and _reciprocal_stays_irreducible(h, ctx):
+                factors.append(_reciprocal_transform(h, ctx))
             # X has no star; X+-1 and the other self-star ones are not F2
-            if g[0] and g < star(g, ctx) and is_irreducible(g, ctx):
-                factors.append(g)
+            if h[0] and h < star(h, ctx) and is_irreducible(h, ctx):
+                factors.append(h)
     classes = [_class_of_factor(g, ctx) for g in factors]
     if ell_prime_only:
         classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
     return tuple(sorted(classes, key=PolyClass.sort_key))
+
+
+def _reciprocal_stays_irreducible(h, ctx):
+    """Meyn's condition on an irreducible h: h(2) h(-2) is a non-square."""
+    gf = ctx.gf
+    two = gf.add(1, 1)
+    value = gf.mul(_evaluate(h, two, gf), _evaluate(h, gf.neg(two), gf))
+    return value != 0 and gf.pow(value, (ctx.q - 1) // 2) != 1
+
+
+def _evaluate(h, a, gf):
+    out = 0
+    for c in reversed(h):
+        out = gf.add(gf.mul(out, a), c)
+    return out
+
+
+def _reciprocal_transform(h, ctx):
+    """X^d h(X + 1/X) for h of degree d, by Horner's rule: with
+    A_0 = 1, A_(k+1) = (X^2 + 1) A_k + h_(d-k-1) X^(k+1), A_d is it."""
+    gf = ctx.gf
+    d = poly_deg(h)
+    out = (1,)
+    for k in range(d):
+        out = list(poly_mul(out, (1, 0, 1), gf))
+        out[k + 1] = gf.add(out[k + 1], h[d - k - 1])
+        out = tuple(out)
+    return out
 
 
 def frobenius_class(pc, i, ctx):

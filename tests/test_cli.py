@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from spbaw import __version__
 from spbaw.cli import main
 from spbaw.labelspace import CheckFailed
 
@@ -154,6 +155,39 @@ def test_sweep_detects_regression(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "b.json").read_text())
     assert report["configs"][0]["status"] == "regression"
+
+
+def test_sweep_reports_a_version_only_change(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["sweep", "--p", "5", "--f", "1", "--ell", "3", "--n", "1,2",
+            "--checks", "counts", "--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+    first, second = sorted(cache.iterdir())
+    first.write_text(first.read_text().replace(
+        f'"version":"{__version__}"', '"version":"0.0.0"'))
+    second.write_text(second.read_text().replace(
+        f'"version":"{__version__}"', '"version":"0.0.0"').replace(
+        '"n_ibr":1', '"n_ibr":2', 1))
+    code = main(args + ["--out", str(tmp_path / "b.json")])
+    assert code == 1
+    report = json.loads((tmp_path / "b.json").read_text())
+    assert [c["status"] for c in report["configs"]] == ["version_changed",
+                                                        "regression"]
+    assert report["regressions"] == 1
+    second.unlink()
+    assert main(args + ["--out", str(tmp_path / "c.json")]) == 0
+    report = json.loads((tmp_path / "c.json").read_text())
+    assert [c["status"] for c in report["configs"]] == ["version_changed", "new"]
+    assert report["regressions"] == 0
+
+
+def test_sweep_has_no_format_option(tmp_path):
+    code, out, err = run_cli(["sweep", "--p", "3", "--ell", "5", "--n", "1",
+                              "--cache-dir", str(tmp_path / "cache"),
+                              "--format", "csv"])
+    assert code == 2
+    assert "unrecognized arguments: --format" in err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_sweep_env_cache_dir(tmp_path, monkeypatch):
@@ -324,6 +358,29 @@ sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2"]))
     assert all(rec["n_ibr"] == rec["n_weights_q"] == rec["n_weights_k"]
                and rec["equivariant"] and rec["invariants_ok"]
                for rec in blocks)
+
+
+def test_failing_block_names_its_equivariance_witness(tmp_path, monkeypatch):
+    # the diagonal automorphism flips a weight's block index but no longer
+    # swaps the halves of its X+1 sequence; the action laws still hold
+    from spbaw import bawcheck as bc
+    monkeypatch.setattr(bc, "_flip_half", lambda seq: seq)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2",
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["summary"]["action_laws_ok"] is True
+    blocks = report["blocks"]
+    failing = [rec for rec in blocks if not rec["equivariant"]]
+    assert failing and len(failing) < len(blocks)
+    for rec in blocks:
+        assert ("equivariance_witness" in rec) == (not rec["equivariant"])
+        assert rec["bijective"] and rec["invariants_ok"]
+    for rec in failing:
+        witness = rec["equivariance_witness"]
+        assert set(witness) == {"generator", "ibr", "lhs", "rhs"}
+        assert witness["generator"] == "diagonal"
+        assert witness["lhs"] != witness["rhs"]
 
 
 def test_sweep_checks_out_before_any_work(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from dataclasses import astuple
+from itertools import product
 
 import pytest
 
@@ -52,6 +53,31 @@ def test_irreducible_counts_match_necklace_formula(p, f):
     for d in range(1, 5):
         got = sum(1 for g in polys if fp.poly_deg(g) == d)
         assert got == necklace_count(ctx.q, d)
+
+
+def schoolbook_mul(a, b, gf):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = gf.add(out[i + j], gf.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("ctx,maxdeg",
+                         [(CTX35, 6), (CTX53, 4), (CTX75, 4), (CTX925, 4)],
+                         ids=["q3", "q5", "q7", "q9"])
+def test_is_irreducible_matches_sieve(ctx, maxdeg):
+    """A monic polynomial of positive degree is irreducible iff it is not
+    the product of two monic polynomials of positive degree."""
+    def monic(d):
+        return [c + (1,) for c in product(range(ctx.q), repeat=d)]
+
+    for d in range(1, maxdeg + 1):
+        reducible = {tuple(schoolbook_mul(a, b, ctx.gf))
+                     for k in range(1, d // 2 + 1)
+                     for a in monic(k) for b in monic(d - k)}
+        for g in monic(d):
+            assert fp.is_irreducible(g, ctx) == (g not in reducible), g
 
 
 def test_star_examples():
@@ -203,12 +229,40 @@ def brute_force_classes(ctx, max_total_deg):
     return sorted(classes, key=fp.PolyClass.sort_key)
 
 
+def _mulmod(a, b, m, gf):
+    """a b mod the monic m, on coefficient lists."""
+    out = schoolbook_mul(a, b, gf)
+    dm = len(m) - 1
+    for i in range(len(out) - 1, dm - 1, -1):
+        c, out[i] = out[i], 0
+        for j in range(dm):
+            out[i - dm + j] = gf.sub(out[i - dm + j], gf.mul(c, m[j]))
+    return out[:dm] + [0] * (dm - len(out))
+
+
+def roots_have_ell_prime_order(pc, ctx):
+    """X^((q^k - 1)_ell') = 1 mod the class's irreducible factor of degree
+    k, by square-and-multiply: every root lies in F_(q^k)^*."""
+    gf, m = ctx.gf, pc.factor
+    k = fp.poly_deg(m)
+    n = ctx.q ** k - 1
+    while n % ctx.ell == 0:
+        n //= ctx.ell
+    out, base = [1], [0, 1]
+    while n:
+        if n & 1:
+            out = _mulmod(out, base, m, gf)
+        base = _mulmod(base, base, m, gf)
+        n >>= 1
+    return out == [1] + [0] * (k - 1)
+
+
 @pytest.mark.parametrize("ctx,max_total_deg",
                          [(CTX35, 6), (CTX53, 4), (CTX75, 4), (CTX925, 4)],
                          ids=["q3", "q5", "q7", "q9"])
 def test_class_table_matches_brute_force(ctx, max_total_deg):
     every = brute_force_classes(ctx, max_total_deg)
-    ell_prime = [pc for pc in every if fp.is_ell_prime_order(pc, ctx)]
+    ell_prime = [pc for pc in every if roots_have_ell_prime_order(pc, ctx)]
     for ell_prime_only, want in ((False, every), (True, ell_prime)):
         got = fp.enumerate_classes(ctx, max_total_deg, ell_prime_only)
         assert [astuple(pc) for pc in got] == [astuple(pc) for pc in want]
