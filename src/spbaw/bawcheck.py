@@ -11,23 +11,23 @@ swaps the two halves of the X+1 sequence; field automorphisms relabel
 the divisors by the p-power map.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import labelspace as ls, partcomb, symbcomb
 from .ffpoly import frobenius_class
-from .labelspace import (BlockLabel, IBrLabel, WeightLabelQ, block_classes,
-                         check, is_x_minus, is_x_plus)
+from .labelspace import (BlockLabel, CheckFailed, IBrLabel, WeightLabelQ,
+                         block_classes, check, is_x_minus, is_x_plus)
 
 
-@dataclass(frozen=True)
-class AutAction:
-    """field(i) or the diagonal outer automorphism."""
-    kind: str               # "field" or "diagonal"
-    power: int = 0
+class AutAction(namedtuple("AutAction", "kind power", defaults=(0,))):
+    """field(i) or the diagonal outer automorphism ("field", "diagonal")."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.kind in ("field", "diagonal")
+    def __new__(cls, kind, power=0):
+        if kind not in ("field", "diagonal"):
+            raise ValueError(f"unknown automorphism kind {kind!r}")
+        return super().__new__(cls, kind, power)
 
 
 FIELD = lambda i: AutAction("field", i)
@@ -74,8 +74,8 @@ def brauer_to_weight(ctx, ib):
             i, i_collapsed = ib.j, False
             entries.append((pc, _flatten(pair, (orient - i) % 2)))
         else:
-            if symbcomb.is_degenerate(lam):
-                check(symbcomb.is_pair_degenerate(pair), f"{lam}: quotient {pair}")
+            if symbcomb.is_degenerate(lam) and not symbcomb.is_pair_degenerate(pair):
+                raise CheckFailed(f"{lam}: quotient {pair}")
             entries.append((pc, _flatten(pair, ib.j)))
     block = BlockLabel(s=ib.s, kappa=tuple(kappa), i=i, i_collapsed=i_collapsed)
     return WeightLabelQ(block=block, q=tuple(entries))
@@ -109,7 +109,8 @@ def weight_to_brauer(ctx, wq):
             lam = symbcomb.star_plain(kappa, pair, 0, e, mode)
             entries.append((pc, lam))
             if symbcomb.is_degenerate(lam):
-                check(orient == 0, f"degenerate {lam} carries orientation {orient}")
+                if orient != 0:
+                    raise CheckFailed(f"degenerate {lam} carries orientation {orient}")
                 j, j_collapsed = 0, True
             else:
                 j, j_collapsed = orient, False
@@ -135,7 +136,7 @@ def _field_on_semisimple(ctx, power, s):
 
 def _relabel_assignment(ctx, power, entries):
     items = [(frobenius_class(pc, power, ctx), v) for pc, v in entries]
-    return tuple(sorted(items, key=lambda cv: cv[0].sort_key()))
+    return tuple(sorted(items))
 
 
 def act_on_block(ctx, action, block):
@@ -179,20 +180,18 @@ def act_on_weight(ctx, action, w):
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
-class BlockTable:
+class BlockTable(namedtuple("BlockTable", "pairs weights_q weights_k")):
     """A block's labels, each list enumerated once.  pairs holds each Brauer
     label with its weight label; a list, so a label listed twice counts
     twice."""
-    pairs: list
-    weights_q: list
-    weights_k: list
+    __slots__ = ()
 
 
 def block_table(ctx, block):
     pairs = [(ib, brauer_to_weight(ctx, ib)) for ib in ls.enumerate_ibr(ctx, block)]
     for ib, w in pairs:
-        check(w.block == block, f"{ib} maps into {w.block}, not its block {block}")
+        if w.block != block:
+            raise CheckFailed(f"{ib} maps into {w.block}, not its block {block}")
     return BlockTable(pairs, ls.enumerate_weights_q(ctx, block),
                       ls.enumerate_weights_k(ctx, block))
 
@@ -205,14 +204,43 @@ def bijection_of(tables):
 def verify_block(ctx, table):
     """Counts and bijectivity report for one block table: the round trip
     through weight_to_brauer, injectivity, image = Q weights, and
-    k_to_q(K weights) = Q weights."""
-    image = {w for _, w in table.pairs}
+    k_to_q(K weights) = Q weights.  A block that is not bijective carries
+    the first violation found as its bijection_witness."""
+    report = {"n_ibr": len(table.pairs), "n_weights_q": len(table.weights_q),
+              "n_weights_k": len(table.weights_k), "bijective": True}
+    witness = _bijection_witness(ctx, table)
+    if witness is not None:
+        report.update(bijective=False, bijection_witness=witness)
+    return report
+
+
+def _bijection_witness(ctx, table):
+    """The first violation, or None: a Brauer label whose round trip fails;
+    a weight hit twice; a Q weight missing from the image, or an image
+    weight that is none; a k_to_q image that is no Q weight, or a Q weight
+    that no K weight reaches."""
+    for ib, w in table.pairs:
+        back = weight_to_brauer(ctx, w)
+        if back != ib:
+            return {"failure": "round_trip", "ibr": ls.ibr_jsonable(ib),
+                    "weight": ls.weight_q_jsonable(ctx, w),
+                    "back": ls.ibr_jsonable(back)}
+    image = {}
+    for ib, w in table.pairs:
+        if w in image:
+            return {"failure": "duplicated_weight", "ibr": ls.ibr_jsonable(ib),
+                    "weight": ls.weight_q_jsonable(ctx, w)}
+        image[w] = ib
     weights_q = set(table.weights_q)
-    bijective = (all(weight_to_brauer(ctx, w) == ib for ib, w in table.pairs)
-                 and len(image) == len(table.pairs) and image == weights_q
-                 and {ls.k_to_q(ctx, wk) for wk in table.weights_k} == weights_q)
-    return {"n_ibr": len(table.pairs), "n_weights_q": len(table.weights_q),
-            "n_weights_k": len(table.weights_k), "bijective": bijective}
+    k_image = {ls.k_to_q(ctx, wk): wk for wk in table.weights_k}
+    for failure, found, wanted in (("missing_weight", table.weights_q, image),
+                                   ("stray_weight", image, weights_q),
+                                   ("k_to_q", k_image, weights_q),
+                                   ("missed_by_k_to_q", table.weights_q, k_image)):
+        for w in found:
+            if w not in wanted:
+                return {"failure": failure, "weight": ls.weight_q_jsonable(ctx, w)}
+    return None
 
 
 def verify_equivariance_of_block(ctx, pairs, bijection, generators):

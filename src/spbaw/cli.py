@@ -12,7 +12,6 @@ below 1, a size over --work-limit, or an output that cannot be written).
 """
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -126,6 +125,8 @@ def _report_json(report):
 
 
 def _report_csv(report):
+    import csv   # only --format csv needs it
+
     buf = io.StringIO()
     fields = ["p", "f", "q", "ell", "e", "epsilon", "n", "s", "kappa", "i",
               "w", "n_ibr", "n_weights_q", "n_weights_k", "bijective",

@@ -12,7 +12,7 @@ of g; frobenius(g, i) the one whose roots are the p^i-th powers.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -237,19 +237,13 @@ def _split_f2(g, ctx):
     raise ValueError(f"{g} is not an F2 product")
 
 
-@dataclass(frozen=True)
-class PolyClass:
-    """A classified elementary divisor with its invariants."""
-    gamma: tuple          # the polynomial (for F2, the product)
-    factor: tuple         # canonical irreducible factor (= gamma unless F2)
-    family: str           # "F0", "F1" or "F2"
-    e_gamma: int
-    _delta: int
-    _sign: int
-
-    @property
-    def deg(self):
-        return poly_deg(self.gamma)
+class PolyClass(namedtuple("PolyClass",
+                           "deg gamma factor family e_gamma delta sign")):
+    """A classified elementary divisor with its invariants.  gamma is the
+    polynomial (for F2, the product), factor its canonical irreducible
+    factor (= gamma unless F2), family "F0", "F1" or "F2".  deg leads, so
+    tuple order is the class order (deg, gamma)."""
+    __slots__ = ()
 
     @property
     def beta(self):
@@ -259,12 +253,12 @@ class PolyClass:
     def delta(self):
         # no formula consumes delta or sign for F0; any read is a bug
         assert self.family != "F0", "delta of an F0 class is never used"
-        return self._delta
+        return self[5]
 
     @property
     def sign(self):
         assert self.family != "F0", "sign of an F0 class is never used"
-        return self._sign
+        return self[6]
 
     def sort_key(self):
         return (self.deg, self.gamma)
@@ -278,8 +272,8 @@ def _class_of_factor(g, ctx):
     F0 for X-1 and X+1, F1 when g is self-star, else F2 with
     gamma = g g^* and the lex-smaller of the star pair as its factor."""
     if g == poly_x_minus_one(ctx) or g == poly_x_plus_one(ctx):
-        return PolyClass(gamma=g, factor=g, family="F0",
-                         e_gamma=ctx.e, _delta=1, _sign=1)
+        return PolyClass(deg=1, gamma=g, factor=g, family="F0",
+                         e_gamma=ctx.e, delta=1, sign=1)
     st = star(g, ctx)
     if st == g:
         assert poly_deg(g) % 2 == 0, "self-star irreducibles away from X+-1 have even degree"
@@ -287,9 +281,9 @@ def _class_of_factor(g, ctx):
     else:
         gamma, family, delta, sign = poly_mul(g, st, ctx.gf), "F2", poly_deg(g), 1
         g = min(g, st)
-    return PolyClass(gamma=gamma, factor=g, family=family,
+    return PolyClass(deg=poly_deg(gamma), gamma=gamma, factor=g, family=family,
                      e_gamma=order_mod(sign * ctx.q ** delta % ctx.ell, ctx.ell),
-                     _delta=delta, _sign=sign)
+                     delta=delta, sign=sign)
 
 
 def classify(g, ctx):
@@ -345,15 +339,17 @@ def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
     for d in range(1, max_total_deg // 2 + 1):
         for c in product(range(ctx.q), repeat=d):
             h = c + (1,)
-            if is_irreducible(h, ctx) and _reciprocal_stays_irreducible(h, ctx):
+            if not is_irreducible(h, ctx):
+                continue
+            if _reciprocal_stays_irreducible(h, ctx):
                 factors.append(_reciprocal_transform(h, ctx))
             # X has no star; X+-1 and the other self-star ones are not F2
-            if h[0] and h < star(h, ctx) and is_irreducible(h, ctx):
+            if h[0] and h < star(h, ctx):
                 factors.append(h)
     classes = [_class_of_factor(g, ctx) for g in factors]
     if ell_prime_only:
         classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
-    return tuple(sorted(classes, key=PolyClass.sort_key))
+    return tuple(sorted(classes))
 
 
 def _reciprocal_stays_irreducible(h, ctx):

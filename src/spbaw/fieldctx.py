@@ -5,9 +5,9 @@ e is the multiplicative order of q^2 modulo ell; epsilon records whether
 ell divides q^e - 1 (linear, +1) or q^e + 1 (unitary, -1).
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .gf import GF, get_field, is_prime
+from .gf import get_field, is_prime
 
 
 def order_mod(a, m):
@@ -23,15 +23,16 @@ def order_mod(a, m):
     return k
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    p: int
-    f: int
-    q: int
-    ell: int
-    e: int
-    epsilon: int
-    gf: GF = field(compare=False, repr=False, hash=False)
+_FIELDS = {}    # (p, f) -> get_field(p, f), filled by make_context
+
+
+class FieldContext(namedtuple("FieldContext", "p f q ell e epsilon")):
+    __slots__ = ()
+
+    @property
+    def gf(self):
+        """F_q, outside equality and hashing: (p, f) determines it."""
+        return _FIELDS[self.p, self.f]
 
     @property
     def mode(self):
@@ -56,5 +57,5 @@ def make_context(p, f, ell):
     else:
         assert (pow(q, e, ell) + 1) % ell == 0
         epsilon = -1
-    return FieldContext(p=p, f=f, q=q, ell=ell, e=e, epsilon=epsilon,
-                        gf=get_field(p, f))
+    _FIELDS[p, f] = get_field(p, f)
+    return FieldContext(p=p, f=f, q=q, ell=ell, e=e, epsilon=epsilon)

@@ -10,12 +10,11 @@ when kappa at X+1 is degenerate.  The X+-1 symbol components use hooks
 for linear primes and cohooks for unitary ones.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
 from . import ffpoly, partcomb, symbcomb
-from .ffpoly import PolyClass
 from .symbcomb import LSymbol
 
 
@@ -47,28 +46,43 @@ def is_x_plus(pc, ctx):
     return pc.family == "F0" and pc.gamma == ffpoly.poly_x_plus_one(ctx)
 
 
+def _value_at(entries, pc, default=None):
+    """The value at pc of a ((PolyClass, value), ...) assignment."""
+    for c, v in entries:
+        if c == pc:
+            return v
+    return default
+
+
 # ---------------------------------------------------------------------------
 # semisimple labels
 
-@dataclass(frozen=True)
-class SemisimpleLabel:
-    """Multiplicity function plus type signs; determines the class."""
-    entries: tuple          # sorted ((PolyClass, mult), ...), mult >= 1
-    eta_plus: int | None    # sign at X+1, present iff its multiplicity > 0
-    eta_minus: int
+class _Label(tuple):
+    """Base of the block, Brauer and weight labels: a tuple that compares its
+    type first, as a defect-zero block's Q and K labels have equal fields,
+    and so may a block and a Brauer label.  Tuple order is label order."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class SemisimpleLabel(namedtuple("SemisimpleLabel", "entries eta_plus eta_minus")):
+    """Multiplicity function plus type signs; determines the class.  entries:
+    sorted ((PolyClass, mult), ...), mult >= 1; eta_plus: the sign at X+1,
+    present iff its multiplicity > 0."""
+    __slots__ = ()
 
     def mult(self, pc):
-        for c, m in self.entries:
-            if c == pc:
-                return m
-        return 0
+        return _value_at(self.entries, pc, 0)
 
     def support(self):
         return tuple(c for c, _ in self.entries)
-
-    def sort_key(self):
-        return (tuple((c.sort_key(), m) for c, m in self.entries),
-                self.eta_plus or 0, self.eta_minus)
 
     def __repr__(self):
         parts = ", ".join(f"{list(c.gamma)}^{m}" for c, m in self.entries)
@@ -83,7 +97,7 @@ def eta_of_class(pc, mult):
 
 
 def _make_semisimple(ctx, items, eta_plus):
-    items = tuple(sorted(items, key=lambda cm: cm[0].sort_key()))
+    items = tuple(sorted(items))
     prod = eta_plus if eta_plus is not None else 1
     for pc, m in items:
         if pc.family != "F0":
@@ -123,40 +137,21 @@ def enumerate_semisimple(ctx, n, ell_prime_only=True):
             m += 1
 
     rec(0, dim, [])
-    return sorted(out, key=SemisimpleLabel.sort_key)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
 # block labels and condition (C)
 
-@dataclass(frozen=True)
-class BlockLabel:
-    s: SemisimpleLabel
-    kappa: tuple            # sorted ((PolyClass, core), ...), core partition or LSymbol
-    i: int
-    i_collapsed: bool
+class BlockLabel(_Label, namedtuple("BlockLabel", "s kappa i i_collapsed")):
+    """kappa: sorted ((PolyClass, core), ...), core partition or LSymbol."""
+    __slots__ = ()
 
     def core_of(self, pc):
-        for c, k in self.kappa:
-            if c == pc:
-                return k
-        return None
-
-    def sort_key(self):
-        return (self.s.sort_key(), _assignment_key(self.kappa), self.i)
+        return _value_at(self.kappa, pc)
 
     def __repr__(self):
         return f"BlockLabel(s={self.s!r}, kappa={self.kappa}, i={self.i})"
-
-
-def _assignment_key(entries):
-    out = []
-    for pc, val in entries:
-        if isinstance(val, LSymbol):
-            out.append((pc.sort_key(), ("s",) + val.rows))
-        else:
-            out.append((pc.sort_key(), ("p", val)))
-    return tuple(out)
 
 
 _DEFECTS = {"odd": lambda d: d % 2 == 1,
@@ -211,14 +206,13 @@ def weight_of(ctx, block, pc):
     return lhs // step
 
 
+@lru_cache(maxsize=None)
 def block_classes(ctx, s):
     """The divisors carrying data over the semisimple label s: its support
     plus X+1."""
-    classes = list(s.support())
+    classes = s.support()
     xp = x_plus_class(ctx)
-    if xp not in classes:
-        classes.append(xp)
-    return sorted(classes, key=PolyClass.sort_key)
+    return classes if xp in classes else tuple(sorted(classes + (xp,)))
 
 
 def _z2_indices(degenerate):
@@ -239,27 +233,18 @@ def enumerate_blocks(ctx, n, ell_prime_only=True):
             degenerate = symbcomb.is_degenerate(dict(kappa)[xp])
             out.extend(BlockLabel(s=s, kappa=kappa, i=i, i_collapsed=c)
                        for i, c in _z2_indices(degenerate))
-    return sorted(out, key=BlockLabel.sort_key)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
 # Brauer character labels
 
-@dataclass(frozen=True)
-class IBrLabel:
-    s: SemisimpleLabel
-    lam: tuple              # sorted ((PolyClass, partition-or-symbol), ...)
-    j: int
-    j_collapsed: bool
+class IBrLabel(_Label, namedtuple("IBrLabel", "s lam j j_collapsed")):
+    """lam: sorted ((PolyClass, partition-or-symbol), ...)."""
+    __slots__ = ()
 
     def part_of(self, pc):
-        for c, v in self.lam:
-            if c == pc:
-                return v
-        return None
-
-    def sort_key(self):
-        return (self.s.sort_key(), _assignment_key(self.lam), self.j)
+        return _value_at(self.lam, pc)
 
     def __repr__(self):
         return f"IBrLabel(s={self.s!r}, lam={self.lam}, j={self.j})"
@@ -301,7 +286,7 @@ def enumerate_ibr(ctx, block):
             indices = _z2_indices(degenerate)
         out.extend(IBrLabel(s=block.s, lam=lam, j=j, j_collapsed=c)
                    for j, c in indices)
-    return sorted(out, key=IBrLabel.sort_key)
+    return sorted(out)
 
 
 def block_of_ibr(ctx, label):
@@ -315,7 +300,7 @@ def block_of_ibr(ctx, label):
             kappa.append((pc, symbcomb.sym_core_quotient(v, ctx.e, ctx.mode)[0]))
     if xp not in [pc for pc, _ in label.lam]:
         kappa.append((xp, LSymbol()))
-    kappa = tuple(sorted(kappa, key=lambda cv: cv[0].sort_key()))
+    kappa = tuple(sorted(kappa))
     core_plus = dict(kappa)[xp]
     if symbcomb.is_degenerate(core_plus):
         return BlockLabel(s=label.s, kappa=kappa, i=0, i_collapsed=True)
@@ -341,34 +326,23 @@ def enumerate_ibr_universe(ctx, n):
             degenerate = symbcomb.is_degenerate(dict(lam)[xp])
             out.extend(IBrLabel(s=s, lam=lam, j=j, j_collapsed=c)
                        for j, c in _z2_indices(degenerate))
-    return sorted(out, key=IBrLabel.sort_key)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
 # weight labels
 
-@dataclass(frozen=True)
-class WeightLabelQ:
-    block: BlockLabel
-    q: tuple                # sorted ((PolyClass, tuple of partitions), ...)
+class WeightLabelQ(_Label, namedtuple("WeightLabelQ", "block q")):
+    """q: sorted ((PolyClass, tuple of partitions), ...)."""
+    __slots__ = ()
 
     def q_of(self, pc):
-        for c, v in self.q:
-            if c == pc:
-                return v
-        return None
-
-    def sort_key(self):
-        return (self.block.sort_key(), tuple((c.sort_key(), v) for c, v in self.q))
+        return _value_at(self.q, pc)
 
 
-@dataclass(frozen=True)
-class WeightLabelK:
-    block: BlockLabel
-    k: tuple                # sorted ((PolyClass, tuple of core towers), ...)
-
-    def sort_key(self):
-        return (self.block.sort_key(), tuple((c.sort_key(), v) for c, v in self.k))
+class WeightLabelK(_Label, namedtuple("WeightLabelK", "block k")):
+    """k: sorted ((PolyClass, tuple of core towers), ...)."""
+    __slots__ = ()
 
 
 def branch_count(ctx, pc):
@@ -381,8 +355,7 @@ def _weight_labels(ctx, block, label_cls, tuples_of):
     per_class = [[(pc, t) for t in tuples_of(branch_count(ctx, pc),
                                              weight_of(ctx, block, pc))]
                  for pc in block_classes(ctx, block.s)]
-    return sorted((label_cls(block, x) for x in product(*per_class)),
-                  key=label_cls.sort_key)
+    return sorted(label_cls(block, x) for x in product(*per_class))
 
 
 def enumerate_weights_q(ctx, block):
@@ -424,7 +397,7 @@ def radical_shape(ctx, wk):
                 t = sum(sum(x) for x in level)
                 if t:
                     shape.append((pc, d, b, t))
-    return tuple(sorted(shape, key=lambda s: (s[0].sort_key(), s[1], s[2])))
+    return tuple(sorted(shape))
 
 
 def audit_weight_label(ctx, w_label, n):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from spbaw import bawcheck as bc, labelspace as ls, symbcomb
@@ -280,6 +278,11 @@ def test_duplicated_brauer_label_breaks_bijectivity(monkeypatch):
     report = bc.verify_block(CTX35, bc.block_table(CTX35, block))
     assert report["n_ibr"] == len(enumerate_ibr(CTX35, block)) + 1
     assert not report["bijective"]
+    # every round trip holds; the re-listed label hits its weight again
+    first = enumerate_ibr(CTX35, block)[0]
+    assert report["bijection_witness"] == {
+        "failure": "duplicated_weight", "ibr": ls.ibr_jsonable(first),
+        "weight": ls.weight_q_jsonable(CTX35, bc.brauer_to_weight(CTX35, first))}
 
 
 def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
@@ -293,7 +296,7 @@ def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
 
     def stray(ctx, action, ib):
         moved = act_on_ibr(ctx, action, ib)
-        return replace(moved, j=2) if ib == target else moved   # j is in Z/2
+        return moved._replace(j=2) if ib == target else moved   # j is in Z/2
 
     monkeypatch.setattr(bc, "act_on_ibr", stray)
     for b, t in tables.items():

@@ -358,6 +358,14 @@ sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2"]))
     assert all(rec["n_ibr"] == rec["n_weights_q"] == rec["n_weights_k"]
                and rec["equivariant"] and rec["invariants_ok"]
                for rec in blocks)
+    for rec in blocks:
+        if rec["bijective"]:
+            assert "bijection_witness" not in rec
+            continue
+        witness = rec["bijection_witness"]
+        assert witness["failure"] == "round_trip"
+        assert witness["back"] != witness["ibr"]
+        assert witness["weight"]["block"]["kappa"] == rec["kappa"]
 
 
 def test_failing_block_names_its_equivariance_witness(tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -265,7 +264,7 @@ def test_class_table_matches_brute_force(ctx, max_total_deg):
     ell_prime = [pc for pc in every if roots_have_ell_prime_order(pc, ctx)]
     for ell_prime_only, want in ((False, every), (True, ell_prime)):
         got = fp.enumerate_classes(ctx, max_total_deg, ell_prime_only)
-        assert [astuple(pc) for pc in got] == [astuple(pc) for pc in want]
+        assert [tuple(pc) for pc in got] == [tuple(pc) for pc in want]
 
 
 def self_reciprocal_count(q, deg):
