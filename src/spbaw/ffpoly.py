@@ -303,19 +303,24 @@ def classify(g, ctx):
 
 
 def is_ell_prime_order(pc, ctx):
-    """True iff every root of the class has order prime to ell."""
-    gf = ctx.gf
-    factors = [pc.factor] if pc.family != "F2" else [pc.factor, star(pc.factor, ctx)]
-    results = set()
-    for fac in factors:
-        # an F1 root of degree 2d has norm 1 down to F_(q^d): its order
-        # divides q^d + 1
-        m = ctx.q ** pc.delta + 1 if pc.family == "F1" else ctx.q ** poly_deg(fac) - 1
-        while m % ctx.ell == 0:
-            m //= ctx.ell
-        results.add(poly_powmod((0, 1), m, fac, gf) == (1,))
-    assert len(results) == 1, "star-paired factors must agree on root order"
-    return results.pop()
+    """True iff every root of the class has order prime to ell.
+
+    The roots of X-1 and X+1 have order 1 and 2.  A root of an F1 member
+    of degree 2d has norm 1 down to F_(q^d), so its order divides q^d + 1;
+    a root of a factor of degree k lies in F_(q^k)^*.  Both bounds are
+    q^delta - sign.  When ell does not divide the bound, Lagrange's
+    theorem decides; otherwise X is raised to the bound's ell'-part modulo
+    the factor.  The two factors of an F2 star pair have inverse roots, so
+    pc.factor alone decides.
+    """
+    if pc.family == "F0":
+        return True
+    m = ctx.q ** pc.delta - pc.sign
+    if m % ctx.ell:
+        return True
+    while m % ctx.ell == 0:
+        m //= ctx.ell
+    return poly_powmod((0, 1), m, pc.factor, ctx.gf) == (1,)
 
 
 def enumerate_classes(ctx, max_total_deg, ell_prime_only=False):

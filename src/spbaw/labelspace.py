@@ -358,21 +358,37 @@ def _weight_labels(ctx, block, label_cls, tuples_of):
     return sorted(label_cls(block, x) for x in product(*per_class))
 
 
+@lru_cache(maxsize=None)
+def _partition_tuples(k, w):
+    """The k-tuples of partitions of total size w, enumerated once per
+    shape."""
+    return tuple(partcomb.enumerate_tuples(k, w))
+
+
+@lru_cache(maxsize=None)
+def _core_towers(ell, v):
+    return tuple(partcomb.enumerate_core_towers(ell, v))
+
+
+@lru_cache(maxsize=None)
+def _tower_tuples(k, w, ell):
+    """The k-tuples of ell-core towers of total weighted size w,
+    enumerated once per shape."""
+    return tuple(partcomb.weighted_tuples(k, w, lambda v: _core_towers(ell, v)))
+
+
 def enumerate_weights_q(ctx, block):
     """All ordered-quotient weight labels of a block: one sequence of
     beta*e_Gamma partitions of total w_Gamma per divisor."""
-    return _weight_labels(ctx, block, WeightLabelQ, partcomb.enumerate_tuples)
+    return _weight_labels(ctx, block, WeightLabelQ, _partition_tuples)
 
 
 def enumerate_weights_k(ctx, block):
     """All core-tower weight labels, enumerated independently of the
     Q-form via the level structure: one sequence of beta*e_Gamma ell-core
     towers of total weighted size w_Gamma per divisor."""
-    def towers(v):
-        return partcomb.enumerate_core_towers(ctx.ell, v)
-
     return _weight_labels(ctx, block, WeightLabelK,
-                          lambda k, w: partcomb.weighted_tuples(k, w, towers))
+                          lambda k, w: _tower_tuples(k, w, ctx.ell))
 
 
 def k_to_q(ctx, wk):

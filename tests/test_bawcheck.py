@@ -79,6 +79,83 @@ def test_field_zero_is_identity():
         assert bc.act_on_ibr(CTX35, FIELD(0), ib) == ib
 
 
+def _labels_of_every_kind(ctx, n):
+    """Semisimple, block, Brauer, Q and K labels at rank n, each with the
+    assignment tuple that the field action rebuilds."""
+    out = [(s, s.entries) for s in ls.enumerate_semisimple(ctx, n)]
+    for b in ls.enumerate_blocks(ctx, n):
+        out.append((b, b.kappa))
+        out.extend((ib, ib.lam) for ib in ls.enumerate_ibr(ctx, b))
+        out.extend((w, w.q) for w in ls.enumerate_weights_q(ctx, b))
+        out.extend((w, w.k) for w in ls.enumerate_weights_k(ctx, b))
+    return out
+
+
+def _act(ctx, action, x):
+    if isinstance(x, ls.SemisimpleLabel):
+        return bc.act_on_semisimple(ctx, action, x)
+    if isinstance(x, ls.BlockLabel):
+        return bc.act_on_block(ctx, action, x)
+    if isinstance(x, ls.IBrLabel):
+        return bc.act_on_ibr(ctx, action, x)
+    return bc.act_on_weight(ctx, action, x)
+
+
+@pytest.mark.parametrize("ctx,n", [(CTX35, 2), (CTX925, 1), (CTX53, 2)])
+def test_label_assignments_are_in_canonical_order(ctx, n):
+    # the identity actions return a label as enumerated, not re-sorted, so the
+    # enumerators themselves must emit every assignment in class order
+    labels = _labels_of_every_kind(ctx, n)
+    assert {type(x) for x, _ in labels} == {
+        ls.SemisimpleLabel, ls.BlockLabel, ls.IBrLabel,
+        ls.WeightLabelQ, ls.WeightLabelK}
+    for x, entries in labels:
+        assert entries == tuple(sorted(entries)), x
+
+
+@pytest.mark.parametrize("ctx,n", [(CTX35, 2), (CTX925, 1)])
+def test_identity_field_powers_return_the_label(ctx, n):
+    for x, _ in _labels_of_every_kind(ctx, n):
+        for i in (0, ctx.f, 2 * ctx.f):
+            assert _act(ctx, FIELD(i), x) is x
+
+
+def test_field_moves_every_label_kind_over_f9():
+    moved = {type(x) for x, _ in _labels_of_every_kind(CTX925, 2)
+             if _act(CTX925, FIELD(1), x) != x}
+    assert moved == {ls.SemisimpleLabel, ls.BlockLabel, ls.IBrLabel,
+                     ls.WeightLabelQ, ls.WeightLabelK}
+
+
+def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
+    # f = 1: every field action is the identity, so no class is relabelled;
+    # the core-tower lists are enumerated once per (ell, v)
+    from spbaw import cli, ffpoly, partcomb
+
+    frobenius_calls, tower_calls = [], []
+    frobenius_class = ffpoly.frobenius_class
+    enumerate_core_towers = partcomb.enumerate_core_towers
+
+    def counted_frobenius(*args):
+        frobenius_calls.append(args)
+        return frobenius_class(*args)
+
+    def counted_towers(ell, v):
+        tower_calls.append((ell, v))
+        return enumerate_core_towers(ell, v)
+
+    monkeypatch.setattr(ffpoly, "frobenius_class", counted_frobenius)
+    monkeypatch.setattr(bc, "frobenius_class", counted_frobenius)
+    monkeypatch.setattr(partcomb, "enumerate_core_towers", counted_towers)
+    ls._core_towers.cache_clear()
+    ls._tower_tuples.cache_clear()
+    bc._field_on_semisimple.cache_clear()
+    assert cli.main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert frobenius_calls == []
+    assert tower_calls and len(tower_calls) == len(set(tower_calls))
+
+
 def test_identity_class_fixed_by_actions():
     labels = ls.enumerate_semisimple(CTX35, 1)
     identity = [s for s in labels if len(s.entries) == 1][0]

@@ -270,9 +270,10 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 
 # Faults injected into a child interpreter; each breaks one check and
 # nothing else.  The audit sees a weight one too large; field(i) acts as
-# the diagonal inside the action-law check only; the bijection sees a
-# symbol core that is not its block's, so a weight leaves the block it is
-# tabulated for.
+# the diagonal inside the action-law check only; over F_9, field(2), the
+# identity, acts as field(1) inside the action-law check only; the
+# bijection sees a symbol core that is not its block's, so a weight leaves
+# the block it is tabulated for.
 _BREAK_AUDIT = """
 import sys
 import spbaw.labelspace as ls
@@ -287,6 +288,10 @@ _BREAK_ACTION_LAWS = """
 import spbaw.bawcheck as bc
 bc.FIELD = lambda i: bc.DIAGONAL
 """
+_BREAK_FIELD_TWO = """
+import spbaw.bawcheck as bc
+bc.FIELD = lambda i: bc.AutAction("field", 1 if i == 2 else i)
+"""
 _BREAK_BIJECTION = """
 import sys
 import spbaw.symbcomb as sc
@@ -299,18 +304,19 @@ sc._extract = skewed
 """
 
 
-@pytest.mark.parametrize("inject,broken,n",
-                         [(_BREAK_AUDIT, "invariants_ok", 1),
-                          (_BREAK_ACTION_LAWS, "action_laws_ok", 1),
-                          (_BREAK_BIJECTION, "failed", 2)],
-                         ids=["audit", "action_laws", "bijection"])
-def test_check_failures_survive_python_O(inject, broken, n):
+@pytest.mark.parametrize("inject,broken,f,n",
+                         [(_BREAK_AUDIT, "invariants_ok", 1, 1),
+                          (_BREAK_ACTION_LAWS, "action_laws_ok", 1, 1),
+                          (_BREAK_FIELD_TWO, "action_laws_ok", 2, 1),
+                          (_BREAK_BIJECTION, "failed", 1, 2)],
+                         ids=["audit", "action_laws", "field_two", "bijection"])
+def test_check_failures_survive_python_O(inject, broken, f, n):
     script = inject + f"""
 import sys
 if __debug__:
     sys.exit(3)
 from spbaw.cli import main
-sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "{n}"]))
+sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
@@ -321,6 +327,7 @@ sys.exit(main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "{n}"]))
     if broken == "failed":
         assert report["failed"].startswith("CheckFailed"), report["failed"]
         return
+    assert all(rec["equivariant"] for rec in report["blocks"])
     invariants = [rec["invariants_ok"] for rec in report["blocks"]]
     if broken == "invariants_ok":
         assert not all(invariants)

@@ -235,3 +235,17 @@ def test_eta_split_gives_disjoint_blocks():
                     # hooks preserve the defect outright
                     assert symbcomb.defect(core) % 4 == want
         assert seen_pairs > 0
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_weight_tuple_tables_match_the_enumerators(ell):
+    for k in range(7):
+        for w in range(6):
+            towers = ls._tower_tuples(k, w, ell)
+            assert list(towers) == partcomb.weighted_tuples(
+                k, w, lambda v: partcomb.enumerate_core_towers(ell, v))
+            assert ls._tower_tuples(k, w, ell) is towers
+            parts = ls._partition_tuples(k, w)
+            assert list(parts) == partcomb.enumerate_tuples(k, w)
+            assert ls._partition_tuples(k, w) is parts
+

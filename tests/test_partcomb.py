@@ -115,6 +115,9 @@ def test_enumerate_partitions_counts():
 def test_enumerate_tuples():
     assert len(pc.enumerate_tuples(2, 2)) == 5
     assert pc.enumerate_tuples(3, 0) == [((), (), ())]
+    # a fresh list per call: the memoized tables live in labelspace
+    pc.enumerate_tuples(3, 0).append(None)
+    assert pc.enumerate_tuples(3, 0) == [((), (), ())]
     assert len(pc.enumerate_tuples(0, 0)) == 1
     assert pc.enumerate_tuples(0, 1) == []
 
