@@ -192,20 +192,26 @@ def act_on_weight(ctx, action, w):
 # ---------------------------------------------------------------------------
 # verification
 
-class BlockTable(namedtuple("BlockTable", "pairs weights_q weights_k")):
-    """A block's labels, each list enumerated once.  pairs holds each Brauer
-    label with its weight label; a list, so a label listed twice counts
-    twice."""
+class BlockTable(namedtuple("BlockTable",
+                             "weights pairs weights_q weights_k k_images")):
+    """A block's values, each computed once: its weights
+    (labelspace.block_weights), each Brauer label with its weight label in
+    pairs (a list, so a label listed twice counts twice), the Q and K
+    weight labels, and k_images, the Q form of each K weight label."""
     __slots__ = ()
 
 
-def block_table(ctx, block):
-    pairs = [(ib, brauer_to_weight(ctx, ib)) for ib in ls.enumerate_ibr(ctx, block)]
+def block_table(ctx, block, weights=None):
+    if weights is None:
+        weights = ls.block_weights(ctx, block)
+    pairs = [(ib, brauer_to_weight(ctx, ib))
+             for ib in ls.enumerate_ibr(ctx, block, weights)]
     for ib, w in pairs:
         if w.block != block:
             raise CheckFailed(f"{ib} maps into {w.block}, not its block {block}")
-    return BlockTable(pairs, ls.enumerate_weights_q(ctx, block),
-                      ls.enumerate_weights_k(ctx, block))
+    weights_k = ls.enumerate_weights_k(ctx, block, weights)
+    return BlockTable(weights, pairs, ls.enumerate_weights_q(ctx, block, weights),
+                      weights_k, [ls.k_to_q(ctx, wk) for wk in weights_k])
 
 
 def bijection_of(tables):
@@ -243,12 +249,11 @@ def _bijection_witness(ctx, table):
             return {"failure": "duplicated_weight", "ibr": ls.ibr_jsonable(ib),
                     "weight": ls.weight_q_jsonable(ctx, w)}
         image[w] = ib
-    weights_q = set(table.weights_q)
-    k_image = {ls.k_to_q(ctx, wk): wk for wk in table.weights_k}
+    weights_q, k_images = set(table.weights_q), set(table.k_images)
     for failure, found, wanted in (("missing_weight", table.weights_q, image),
                                    ("stray_weight", image, weights_q),
-                                   ("k_to_q", k_image, weights_q),
-                                   ("missed_by_k_to_q", table.weights_q, k_image)):
+                                   ("k_to_q", table.k_images, weights_q),
+                                   ("missed_by_k_to_q", table.weights_q, k_images)):
         for w in found:
             if w not in wanted:
                 return {"failure": failure, "weight": ls.weight_q_jsonable(ctx, w)}

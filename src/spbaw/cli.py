@@ -50,14 +50,16 @@ def _parse_checks(text):
 
 
 def _run_blocks(ctx, n, blocks, checks):
-    """A report record and a label table per block; no tables without checks."""
-    records = [ls.block_jsonable(ctx, b) for b in blocks]
+    """A report record and a label table per block; no tables without checks.
+    Each block's weights are computed once, for both."""
+    weights = [ls.block_weights(ctx, b) for b in blocks]
+    records = [ls.block_jsonable(ctx, b, w) for b, w in zip(blocks, weights)]
     if not checks:
         return records, []
-    tables = [bc.block_table(ctx, b) for b in blocks]
+    tables = [bc.block_table(ctx, b, w) for b, w in zip(blocks, weights)]
     bijection = bc.bijection_of(tables)
     generators = [bc.FIELD(1), bc.DIAGONAL]
-    for rec, table in zip(records, tables):
+    for block, rec, table in zip(blocks, records, tables):
         rec.update(bc.verify_block(ctx, table))
         if "equivariance" in checks:
             violations = bc.verify_equivariance_of_block(
@@ -67,8 +69,9 @@ def _run_blocks(ctx, n, blocks, checks):
                 rec["equivariance_witness"] = violations[0]
         if "invariants" in checks:
             try:
-                for wk in table.weights_k:
-                    ls.audit_weight_label(ctx, wk, n)
+                ls.audit_block(ctx, block, table.weights, n)
+                for wq in table.k_images:
+                    ls.audit_weight_label(ctx, wq, table.weights)
                 rec["invariants_ok"] = True
             except ls.CheckFailed:
                 rec["invariants_ok"] = False
@@ -104,10 +107,9 @@ def _build_report(ctx, n, checks):
         },
     }
     if "invariants" in checks:
-        universe = ls.enumerate_ibr_universe(ctx, n)
-        report["summary"]["universe_size"] = len(universe)
+        report["summary"]["universe_size"] = ls.universe_size(ctx, n)
         report["summary"]["partition_ok"] = (
-            report["summary"]["total_ibr"] == len(universe))
+            report["summary"]["total_ibr"] == report["summary"]["universe_size"])
         if not report["summary"]["partition_ok"]:
             report["summary"]["all_pass"] = False
         try:

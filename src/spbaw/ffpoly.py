@@ -342,19 +342,34 @@ def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
     if max_total_deg >= 1:
         factors.append(poly_x_plus_one(ctx))
     for d in range(1, max_total_deg // 2 + 1):
+        factors.extend(_factors_of_degree(ctx, d))
+    classes = [_class_of_factor(g, ctx) for g in factors]
+    if ell_prime_only:
+        classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
+    return tuple(sorted(classes))
+
+
+_FACTORS = {}   # (p, f, d) -> _factors_of_degree(ctx, d)
+
+
+def _factors_of_degree(ctx, d):
+    """The F1 members of degree 2d and the F2 factors of degree d: the
+    search over the q^d monic h of degree d.  It depends only on F_q and d,
+    so every ell and rank over the same field shares it."""
+    key = ctx.p, ctx.f, d
+    if key not in _FACTORS:
+        found = []
         for c in product(range(ctx.q), repeat=d):
             h = c + (1,)
             if not is_irreducible(h, ctx):
                 continue
             if _reciprocal_stays_irreducible(h, ctx):
-                factors.append(_reciprocal_transform(h, ctx))
+                found.append(_reciprocal_transform(h, ctx))
             # X has no star; X+-1 and the other self-star ones are not F2
             if h[0] and h < star(h, ctx):
-                factors.append(h)
-    classes = [_class_of_factor(g, ctx) for g in factors]
-    if ell_prime_only:
-        classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
-    return tuple(sorted(classes))
+                found.append(h)
+        _FACTORS[key] = tuple(found)
+    return _FACTORS[key]
 
 
 def _reciprocal_stays_irreducible(h, ctx):

@@ -169,15 +169,20 @@ def _defect_tag(ctx, pc, eta_plus):
 
 
 @lru_cache(maxsize=None)
-def _symbol_cores(rank_n, tag, e, mode):
-    """Cores of all rank-n symbols in the defect class `tag`."""
-    cores = {}
+def _symbol_table(rank_n, tag, e, mode):
+    """The rank-n symbols in the defect class `tag`, grouped by e-core:
+    {core: sorted symbols}, cores in order.  Each symbol is enumerated and
+    extracted once.  The symbols with core kappa and weight w are the
+    symbols of rank rank(kappa) + e*w with core kappa, all in one defect
+    class (a cohook changes the defect by 2), so a group is
+    symbcomb.symbols_with_core(kappa, w, e, mode)."""
+    groups = {}
     for sym in symbcomb.enumerate_symbols(rank_n, _DEFECTS[tag]):
-        core, pair = symbcomb.sym_core_quotient(sym, e, mode)
-        cores[core] = symbcomb.quotient_size(pair)
-    for core, w in cores.items():
-        assert symbcomb.rank(core) + e * w == rank_n
-    return tuple(sorted(cores))
+        core, _ = symbcomb.sym_core_quotient(sym, e, mode)
+        groups.setdefault(core, []).append(sym)
+    for core in groups:
+        assert (rank_n - symbcomb.rank(core)) % e == 0
+    return {core: tuple(groups[core]) for core in sorted(groups)}
 
 
 def _core_choices(ctx, pc, m, eta_plus):
@@ -185,7 +190,7 @@ def _core_choices(ctx, pc, m, eta_plus):
     if pc.family != "F0":
         return [k for k in partcomb.enumerate_e_cores(pc.e_gamma, m)
                 if (m - sum(k)) % pc.e_gamma == 0]
-    return _symbol_cores(m // 2, _defect_tag(ctx, pc, eta_plus), ctx.e, ctx.mode)
+    return _symbol_table(m // 2, _defect_tag(ctx, pc, eta_plus), ctx.e, ctx.mode).keys()
 
 
 def weight_of(ctx, block, pc):
@@ -204,6 +209,12 @@ def weight_of(ctx, block, pc):
     if lhs < 0 or lhs % step:
         raise ValueError(f"no nonnegative integer weight at {pc}: m={m}, core={core}")
     return lhs // step
+
+
+def block_weights(ctx, block):
+    """((pc, w_Gamma), ...) over block_classes: a block's weights, computed
+    once and passed to the enumerators of its labels."""
+    return tuple((pc, weight_of(ctx, block, pc)) for pc in block_classes(ctx, block.s))
 
 
 @lru_cache(maxsize=None)
@@ -251,29 +262,24 @@ class IBrLabel(_Label, namedtuple("IBrLabel", "s lam j j_collapsed")):
 
 
 @lru_cache(maxsize=None)
-def _partitions_with_core(core, m, e):
-    quots = partcomb.enumerate_tuples(e, (m - sum(core)) // e)
+def _partitions_with_core(core, w, e):
+    quots = partcomb.enumerate_tuples(e, w)
     return tuple(partcomb.from_core_quotient(core, t) for t in quots)
 
 
-@lru_cache(maxsize=None)
-def _symbols_with_core_cached(core, w, e, mode):
-    return tuple(symbcomb.symbols_with_core(core, w, e, mode))
-
-
-def enumerate_ibr(ctx, block):
+def enumerate_ibr(ctx, block, weights=None):
     """The Brauer-character labels of a block: component cores equal to
-    kappa, with the Z/2 index collapsing on degenerate X+1 parts."""
+    kappa, with the Z/2 index collapsing on degenerate X+1 parts.  weights
+    is block_weights(ctx, block), computed here when not given."""
     xp = x_plus_class(ctx)
     per_class = []
-    for pc in block_classes(ctx, block.s):
-        m = block.s.mult(pc)
+    for pc, w in weights or block_weights(ctx, block):
         core = block.core_of(pc)
-        w = weight_of(ctx, block, pc)
         if pc.family != "F0":
-            vals = _partitions_with_core(core, m, pc.e_gamma)
+            vals = _partitions_with_core(core, w, pc.e_gamma)
         else:
-            vals = _symbols_with_core_cached(core, w, ctx.e, ctx.mode)
+            tag = _defect_tag(ctx, pc, block.s.eta_plus)
+            vals = _symbol_table(block.s.mult(pc) // 2, tag, ctx.e, ctx.mode)[core]
         per_class.append([(pc, v) for v in vals])
     out = []
     core_plus = block.core_of(xp) or LSymbol()
@@ -309,7 +315,8 @@ def block_of_ibr(ctx, label):
 
 def enumerate_ibr_universe(ctx, n):
     """Every Brauer label over every ell-regular semisimple class, built
-    without reference to blocks (the global basic-set universe)."""
+    without reference to blocks (the global basic-set universe).  The
+    reference for universe_size."""
     out = []
     xp = x_plus_class(ctx)
     for s in enumerate_semisimple(ctx, n, ell_prime_only=True):
@@ -327,6 +334,38 @@ def enumerate_ibr_universe(ctx, n):
             out.extend(IBrLabel(s=s, lam=lam, j=j, j_collapsed=c)
                        for j, c in _z2_indices(degenerate))
     return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def _symbol_count(rank_n, tag, e, mode, indexed):
+    """The number of rank-n symbols in the defect class `tag`; with indexed,
+    a non-degenerate one counts twice, once per value of the Z/2 index."""
+    return sum(2 if indexed and not symbcomb.is_degenerate(sym) else 1
+               for group in _symbol_table(rank_n, tag, e, mode).values()
+               for sym in group)
+
+
+@lru_cache(maxsize=None)
+def _partition_count(m):
+    return len(partcomb.enumerate_partitions(m))
+
+
+def universe_size(ctx, n):
+    """len(enumerate_ibr_universe(ctx, n)), counted: over each ell-regular
+    semisimple label, the product of the choices at its divisors, where a
+    non-degenerate symbol at X+1 counts twice.  Nothing is built."""
+    total = 0
+    for s in enumerate_semisimple(ctx, n, ell_prime_only=True):
+        count = 1
+        for pc in block_classes(ctx, s):
+            m = s.mult(pc)
+            if pc.family != "F0":
+                count *= _partition_count(m)
+            else:
+                count *= _symbol_count(m // 2, _defect_tag(ctx, pc, s.eta_plus),
+                                       ctx.e, ctx.mode, is_x_plus(pc, ctx))
+        total += count
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +388,11 @@ def branch_count(ctx, pc):
     return pc.beta * (ctx.e if pc.family == "F0" else pc.e_gamma)
 
 
-def _weight_labels(ctx, block, label_cls, tuples_of):
+def _weight_labels(ctx, block, weights, label_cls, tuples_of):
     """One label_cls(block, entries) per choice of a branch_count-tuple
     tuples_of(k, w_Gamma) at every divisor."""
-    per_class = [[(pc, t) for t in tuples_of(branch_count(ctx, pc),
-                                             weight_of(ctx, block, pc))]
-                 for pc in block_classes(ctx, block.s)]
+    per_class = [[(pc, t) for t in tuples_of(branch_count(ctx, pc), w)]
+                 for pc, w in weights or block_weights(ctx, block)]
     return sorted(label_cls(block, x) for x in product(*per_class))
 
 
@@ -377,17 +415,18 @@ def _tower_tuples(k, w, ell):
     return tuple(partcomb.weighted_tuples(k, w, lambda v: _core_towers(ell, v)))
 
 
-def enumerate_weights_q(ctx, block):
+def enumerate_weights_q(ctx, block, weights=None):
     """All ordered-quotient weight labels of a block: one sequence of
-    beta*e_Gamma partitions of total w_Gamma per divisor."""
-    return _weight_labels(ctx, block, WeightLabelQ, _partition_tuples)
+    beta*e_Gamma partitions of total w_Gamma per divisor.  weights as for
+    enumerate_ibr."""
+    return _weight_labels(ctx, block, weights, WeightLabelQ, _partition_tuples)
 
 
-def enumerate_weights_k(ctx, block):
+def enumerate_weights_k(ctx, block, weights=None):
     """All core-tower weight labels, enumerated independently of the
     Q-form via the level structure: one sequence of beta*e_Gamma ell-core
     towers of total weighted size w_Gamma per divisor."""
-    return _weight_labels(ctx, block, WeightLabelK,
+    return _weight_labels(ctx, block, weights, WeightLabelK,
                           lambda k, w: _tower_tuples(k, w, ctx.ell))
 
 
@@ -416,17 +455,14 @@ def radical_shape(ctx, wk):
     return tuple(sorted(shape))
 
 
-def audit_weight_label(ctx, w_label, n):
-    """Dimension bookkeeping for a weight label: the multiplicity at every
+def audit_block(ctx, block, weights, n):
+    """Dimension bookkeeping for a block with weights block_weights(ctx,
+    block), once for all its weight labels: the multiplicity at every
     divisor splits into the core part plus beta * e_Gamma per unit of
     weight, and the displaced and fixed spaces fill dimension 2n+1."""
-    wq = w_label if isinstance(w_label, WeightLabelQ) else k_to_q(ctx, w_label)
-    block = wq.block
     dim_fixed, dim_moved = 0, 0
-    for pc in block_classes(ctx, block.s):
+    for pc, w in weights:
         m = block.s.mult(pc)
-        w = weight_of(ctx, block, pc)
-        check(sum(sum(p) for p in wq.q_of(pc)) == w, "branch sizes must sum to w")
         core = block.core_of(pc)
         if pc.family != "F0":
             split = sum(core) + pc.e_gamma * w
@@ -435,11 +471,19 @@ def audit_weight_label(ctx, w_label, n):
         else:
             split = 2 * symbcomb.rank(core) + 1 + 2 * ctx.e * w
         check(m == split, "multiplicity is not core plus e_Gamma * weight")
-        displaced = w * pc.beta * (ctx.e if pc.family == "F0" else pc.e_gamma)
+        displaced = w * branch_count(ctx, pc)
         check(m - displaced >= 0, "weight exceeds available multiplicity")
         dim_fixed += (m - displaced) * pc.deg
         dim_moved += displaced * pc.deg
     check(dim_fixed + dim_moved == 2 * n + 1, "dimensions do not fill 2n+1")
+    return True
+
+
+def audit_weight_label(ctx, wq, weights):
+    """The branches of a Q-form weight label sum to its block's weights
+    ((pc, w_Gamma), ...) at every divisor."""
+    check(tuple((pc, sum(sum(p) for p in fam)) for pc, fam in wq.q) == weights,
+          "branch sizes must sum to w")
     return True
 
 
@@ -463,12 +507,11 @@ def semisimple_jsonable(s):
             "eta_plus": s.eta_plus, "eta_minus": s.eta_minus}
 
 
-def block_jsonable(ctx, b):
+def block_jsonable(ctx, b, weights=None):
     return {"s": semisimple_jsonable(b.s),
             "kappa": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in b.kappa],
             "i": b.i, "i_collapsed": b.i_collapsed,
-            "w": [[poly_jsonable(pc), weight_of(ctx, b, pc)]
-                  for pc in block_classes(ctx, b.s)]}
+            "w": [[poly_jsonable(pc), w] for pc, w in weights or block_weights(ctx, b)]}
 
 
 def ibr_jsonable(label):

@@ -129,31 +129,52 @@ def test_field_moves_every_label_kind_over_f9():
 
 def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
     # f = 1: every field action is the identity, so no class is relabelled;
-    # the core-tower lists are enumerated once per (ell, v)
+    # the core-tower lists are enumerated once per (ell, v); each block's
+    # weights and each K weight's Q form are computed once, the symbols of
+    # a rank and defect class are enumerated once, and the universe is
+    # counted, not built
+    import json
+
     from spbaw import cli, ffpoly, partcomb
 
-    frobenius_calls, tower_calls = [], []
-    frobenius_class = ffpoly.frobenius_class
-    enumerate_core_towers = partcomb.enumerate_core_towers
+    calls = {}
 
-    def counted_frobenius(*args):
-        frobenius_calls.append(args)
-        return frobenius_class(*args)
+    def counted(module, name):
+        fn = getattr(module, name)
 
-    def counted_towers(ell, v):
-        tower_calls.append((ell, v))
-        return enumerate_core_towers(ell, v)
+        def wrapper(*args):
+            calls.setdefault(name, []).append(args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(ffpoly, "frobenius_class", counted_frobenius)
-    monkeypatch.setattr(bc, "frobenius_class", counted_frobenius)
-    monkeypatch.setattr(partcomb, "enumerate_core_towers", counted_towers)
+    counted(ffpoly, "frobenius_class")
+    monkeypatch.setattr(bc, "frobenius_class", ffpoly.frobenius_class)
+    counted(partcomb, "enumerate_core_towers")
+    for name in ("weight_of", "k_to_q", "enumerate_ibr_universe"):
+        counted(ls, name)
+    for name in ("enumerate_symbols", "symbols_with_core", "from_core_quotient_sym"):
+        counted(symbcomb, name)
     ls._core_towers.cache_clear()
     ls._tower_tuples.cache_clear()
+    ls._symbol_table.cache_clear()
     bc._field_on_semisimple.cache_clear()
+    out = tmp_path / "r.json"
     assert cli.main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2",
-                     "--out", str(tmp_path / "r.json")]) == 0
-    assert frobenius_calls == []
-    assert tower_calls and len(tower_calls) == len(set(tower_calls))
+                     "--out", str(out)]) == 0
+    blocks = json.loads(out.read_text())["blocks"]
+    assert "frobenius_class" not in calls
+    towers = calls["enumerate_core_towers"]
+    assert towers and len(towers) == len(set(towers))
+    assert len(calls["k_to_q"]) == sum(rec["n_weights_k"] for rec in blocks)
+    symbol_classes = calls["enumerate_symbols"]
+    assert symbol_classes and len(symbol_classes) == len(set(symbol_classes))
+    for name in ("symbols_with_core", "from_core_quotient_sym",
+                 "enumerate_ibr_universe"):
+        assert name not in calls, name
+    # once per (block, divisor), and once per (Brauer label, divisor) in
+    # weight_to_brauer's check
+    assert len(calls["weight_of"]) <= sum(len(rec["w"]) * (1 + rec["n_ibr"])
+                                          for rec in blocks)
 
 
 def test_identity_class_fixed_by_actions():
@@ -351,7 +372,7 @@ def test_duplicated_brauer_label_breaks_bijectivity(monkeypatch):
     block = ls.enumerate_blocks(CTX35, 2)[0]
     enumerate_ibr = ls.enumerate_ibr
     monkeypatch.setattr(ls, "enumerate_ibr",
-                        lambda ctx, b: enumerate_ibr(ctx, b) + enumerate_ibr(ctx, b)[:1])
+                        lambda ctx, b, *weights: enumerate_ibr(ctx, b) + enumerate_ibr(ctx, b)[:1])
     report = bc.verify_block(CTX35, bc.block_table(CTX35, block))
     assert report["n_ibr"] == len(enumerate_ibr(CTX35, block)) + 1
     assert not report["bijective"]

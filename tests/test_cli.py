@@ -246,6 +246,27 @@ def test_verify_maps_each_brauer_label_once(tmp_path, monkeypatch):
                      "brauer_to_weight": report["summary"]["total_ibr"]}
 
 
+def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
+    # the Rabin search depends on F_q and the degree only: a second ell
+    # over the same field tests no polynomial again
+    from spbaw import ffpoly
+    calls = []
+    is_irreducible = ffpoly.is_irreducible
+
+    def counted(g, ctx):
+        calls.append(g)
+        return is_irreducible(g, ctx)
+
+    monkeypatch.setattr(ffpoly, "is_irreducible", counted)
+    monkeypatch.setattr(ffpoly, "_FACTORS", {})
+    ffpoly._enumerate_classes_cached.cache_clear()
+    for ell, first in ((5, True), (7, False)):
+        calls.clear()
+        assert main(["verify", "--p", "3", "--f", "1", "--ell", str(ell), "--n", "2",
+                     "--out", str(tmp_path / f"ell{ell}.json")]) == 0
+        assert bool(calls) == first, ell
+
+
 @pytest.mark.parametrize("exc", [AssertionError, CheckFailed])
 def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
     # a check raising inside the report is a failed config (exit 1), as in
@@ -275,14 +296,11 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 # bijection sees a symbol core that is not its block's, so a weight leaves
 # the block it is tabulated for.
 _BREAK_AUDIT = """
-import sys
 import spbaw.labelspace as ls
-weight_of = ls.weight_of
-def skewed(ctx, block, pc):
-    w = weight_of(ctx, block, pc)
-    caller = sys._getframe(1).f_code.co_name
-    return w + 1 if caller == "audit_weight_label" else w
-ls.weight_of = skewed
+audit_weight_label = ls.audit_weight_label
+def skewed(ctx, wq, weights):
+    return audit_weight_label(ctx, wq, tuple((pc, w + 1) for pc, w in weights))
+ls.audit_weight_label = skewed
 """
 _BREAK_ACTION_LAWS = """
 import spbaw.bawcheck as bc

@@ -189,9 +189,29 @@ def test_all_w_zero_block_has_singletons():
             assert len(ls.enumerate_weights_k(CTX35, b)) == 1
 
 
+def test_symbol_table_groups_match_symbols_with_core():
+    # each core's group is the reference enumeration of the symbols with
+    # that core, in the same order, over every defect class
+    groups = 0
+    for rank_n in range(6):
+        for e in range(1, 5):
+            for mode in (symbcomb.HOOK, symbcomb.COHOOK):
+                for tag in ("odd", "mod4_0", "mod4_2"):
+                    table = ls._symbol_table(rank_n, tag, e, mode)
+                    for core, syms in table.items():
+                        w, rest = divmod(rank_n - symbcomb.rank(core), e)
+                        assert rest == 0
+                        assert list(syms) == symbcomb.symbols_with_core(core, w, e, mode)
+                    assert list(table) == sorted(table)
+                    groups += len(table)
+    assert groups == 606
+
+
 def test_radical_shape_and_audit():
     import json
     for b in ls.enumerate_blocks(CTX35, 2):
+        weights = ls.block_weights(CTX35, b)
+        assert ls.audit_block(CTX35, b, weights, 2)
         for wk in ls.enumerate_weights_k(CTX35, b):
             shape = ls.radical_shape(CTX35, wk)
             total = {}
@@ -199,7 +219,7 @@ def test_radical_shape_and_audit():
                 total[pc] = total.get(pc, 0) + CTX35.ell ** d * t
             for pc in ls.block_classes(CTX35, b.s):
                 assert total.get(pc, 0) == ls.weight_of(CTX35, b, pc)
-            assert ls.audit_weight_label(CTX35, wk, 2)
+            assert ls.audit_weight_label(CTX35, ls.k_to_q(CTX35, wk), weights)
             json.dumps(ls.weight_k_jsonable(CTX35, wk))  # serializable
         json.dumps(ls.block_jsonable(CTX35, b))
 

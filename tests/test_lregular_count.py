@@ -137,6 +137,7 @@ def test_brauer_labels_count_ell_regular_classes(p, f, ell, n):
     blocks = ls.enumerate_blocks(ctx, n)
     assert sum(len(ls.enumerate_ibr(ctx, b)) for b in blocks) == expected
     assert len(ls.enumerate_ibr_universe(ctx, n)) == expected
+    assert ls.universe_size(ctx, n) == expected
 
 
 def test_grid_reaches_e_at_most_n_and_f_two():
