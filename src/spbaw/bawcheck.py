@@ -81,19 +81,22 @@ def brauer_to_weight(ctx, ib):
     return WeightLabelQ(block=block, q=tuple(entries))
 
 
-def weight_to_brauer(ctx, wq):
-    """Two-sided inverse of brauer_to_weight."""
+def weight_to_brauer(ctx, wq, weights=None):
+    """Two-sided inverse of brauer_to_weight.  weights are the block's
+    (labelspace.block_weights), computed here when not given."""
     block = wq.block
     e, mode = ctx.e, ctx.mode
     entries = []
     j, j_collapsed = block.i, False
-    for pc in block_classes(ctx, block.s):
+    if weights is None:
+        weights = ls.block_weights(ctx, block)
+    for pc, w in weights:
         q = wq.q_of(pc)
         kappa = block.core_of(pc)
         if q is None or len(q) != ls.branch_count(ctx, pc):
             raise ValueError(f"weight label carries {q} at {pc}: "
                              f"expected {ls.branch_count(ctx, pc)} branches")
-        if sum(sum(p) for p in q) != ls.weight_of(ctx, block, pc):
+        if sum(sum(p) for p in q) != w:
             raise ValueError(f"branch sizes at {pc} do not sum to the "
                              f"block weight")
         if pc.family != "F0":
@@ -238,7 +241,7 @@ def _bijection_witness(ctx, table):
     weight that is none; a k_to_q image that is no Q weight, or a Q weight
     that no K weight reaches."""
     for ib, w in table.pairs:
-        back = weight_to_brauer(ctx, w)
+        back = weight_to_brauer(ctx, w, table.weights)
         if back != ib:
             return {"failure": "round_trip", "ibr": ls.ibr_jsonable(ib),
                     "weight": ls.weight_q_jsonable(ctx, w),

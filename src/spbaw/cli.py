@@ -5,9 +5,11 @@
   sp-baw sweep   --p 3 --f 1 --ell 5,7 --n 1,2      grid + regression cache
 
 Reports are JSON (or a flat CSV projection) with a stable schema, byte
-identical across runs and --jobs settings; blocks run in one thread, and
---jobs is accepted but changes nothing.  Exit codes: 0 all requested
-checks pass, 1 a check failed, 2 usage or configuration error (a rank
+identical across runs and --jobs settings.  `sweep --jobs N` runs its grid
+points in up to N processes (forked workers, no more than the usable
+CPUs); `verify` and `blocks` ignore the flag.  Exit codes: 0 all requested
+checks pass, 1 a check failed (an internal fault in a report counts as a
+failed check), 2 usage or configuration error (a rank below 1, a --jobs
 below 1, a size over --work-limit, or an output that cannot be written).
 """
 
@@ -30,10 +32,16 @@ def _context_jsonable(ctx):
             "e": ctx.e, "epsilon": ctx.epsilon}
 
 
+def _work_bound(p, f, n):
+    """The size bound q^(2n+1): the one work-cost model, for the work limit
+    and for balancing a sweep's shards."""
+    return (p ** f) ** (2 * n + 1)
+
+
 def _check_work_limit(p, f, n, work_limit):
     if n < 1:
         raise ValueError(f"symplectic rank n must be at least 1, got {n}")
-    est = (p ** f) ** (2 * n + 1)   # size bound q^(2n+1)
+    est = _work_bound(p, f, n)
     if est > work_limit:
         raise ValueError(
             f"refusing to run: size bound q^(2n+1) = {est} exceeds "
@@ -205,56 +213,77 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x]
 
 
+def _entry(point):
+    return dict(zip(("p", "f", "ell", "n"), point))
+
+
+def _sweep_point(point, checks, cache_dir, work_limit):
+    """One grid point of a sweep: its summary entry and exit status.  An
+    OSError (a cache that cannot be read or written) propagates."""
+    p, f, ell, n = point
+    entry = _entry(point)
+    try:
+        _check_work_limit(p, f, n, work_limit)
+        ctx = make_context(p, f, ell)
+    except ValueError as exc:
+        entry.update(status="error", error=str(exc))
+        return entry, 2
+    try:
+        report = _build_report(ctx, n, checks)
+    except Exception as exc:  # a check raised, as in verify
+        entry["failed"] = f"{type(exc).__name__}: {exc}"
+        report = None
+    if report is None or not report["summary"]["all_pass"]:
+        entry["status"] = "failed"
+        return entry, 1
+    key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
+    path = os.path.join(cache_dir, key + ".json")
+    text = _report_json(report)
+    if not os.path.exists(path):
+        _emit(text, path)
+        entry["status"] = "new"
+        return entry, 0
+    with open(path) as fh:
+        cached = fh.read()
+    if cached == text:
+        entry["status"] = "match"
+    elif _differs_in_version_only(cached, report):
+        entry["status"] = "version_changed"
+    else:
+        entry["status"] = "regression"
+        return entry, 1
+    return entry, 0
+
+
 def cmd_sweep(args):
+    from . import sweep   # the shards and their workers: only a sweep loads it
+
     cache_dir = args.cache_dir or os.environ.get("SP_BAW_CACHE_DIR")
     if not cache_dir:
         raise ValueError("sweep needs --cache-dir or SP_BAW_CACHE_DIR")
     checks = _parse_checks(args.checks)
     os.makedirs(cache_dir, exist_ok=True)
-    results = []
-    status = 0
-    grid = product(*map(_int_list, (args.p, args.f, args.ell, args.n)))
-    for p, f, ell, n in grid:
-        entry = {"p": p, "f": f, "ell": ell, "n": n}
-        key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
-        path = os.path.join(cache_dir, key + ".json")
-        try:
-            _check_work_limit(p, f, n, args.work_limit)
-            ctx = make_context(p, f, ell)
-        except ValueError as exc:
-            entry["status"] = "error"
-            entry["error"] = str(exc)
-            results.append(entry)
-            status = max(status, 2)
-            continue
-        try:
-            report = _build_report(ctx, n, checks)
-        except Exception as exc:  # a check raised, as in verify
-            entry["failed"] = f"{type(exc).__name__}: {exc}"
-            report = None
-        if report is None or not report["summary"]["all_pass"]:
-            entry["status"] = "failed"
-            status = max(status, 1)
-        elif os.path.exists(path):
-            with open(path) as fh:
-                cached = fh.read()
-            if cached == _report_json(report):
-                entry["status"] = "match"
-            elif _differs_in_version_only(cached, report):
-                entry["status"] = "version_changed"
-            else:
-                entry["status"] = "regression"
-                status = max(status, 1)
-        else:
-            _emit(_report_json(report), path)
-            entry["status"] = "new"
-        results.append(entry)
+    points = list(product(*map(_int_list, (args.p, args.f, args.ell, args.n))))
+    results = sweep.run_sharded(
+        points, sweep.shards(points, args.jobs, args.work_limit),
+        lambda point: _sweep_point(point, checks, cache_dir, args.work_limit))
+    entries = [entry for entry, _ in results]
     summary = {"version": __version__, "cache_dir": cache_dir,
-               "configs": results,
-               "regressions": sum(1 for r in results
+               "configs": entries,
+               "regressions": sum(1 for r in entries
                                   if r["status"] in ("regression", "failed"))}
     _emit(_report_json(summary), args.out)
-    return status
+    return max((status for _, status in results), default=0)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(sub, grid=False):
@@ -268,9 +297,10 @@ def _add_common(sub, grid=False):
     sub.add_argument("--out", default=None, help="write the report here")
     if not grid:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="accepted for compatibility; blocks run in one "
-                          "thread whatever its value")
+    sub.add_argument("--jobs", type=_positive_int, default=1,
+                     help="at least 1; sweep runs its grid points in up to "
+                          "this many processes, verify and blocks ignore "
+                          "it; report bytes do not depend on it")
     sub.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
                      help="refuse sizes whose bound q^(2n+1) exceeds this")
 

@@ -116,25 +116,29 @@ def enumerate_semisimple(ctx, n, ell_prime_only=True):
               if pc.family != "F0"]
     out = []
 
-    def rec(idx, budget, chosen):
-        if idx == len(others):
-            for m_plus in range(0, budget + 1, 2):
-                m_minus = budget - m_plus
-                if m_minus % 2 == 1:
-                    items = chosen + [(xm, m_minus)]
-                    if m_plus:
-                        items = items + [(xp, m_plus)]
-                        for eta in (1, -1):
-                            out.append(_make_semisimple(ctx, items, eta))
-                    else:
-                        out.append(_make_semisimple(ctx, items, None))
-            return
-        pc = others[idx]
-        rec(idx + 1, budget, chosen)
-        m = 1
-        while m * pc.deg <= budget - 1:
-            rec(idx + 1, budget - m * pc.deg, chosen + [(pc, m)])
-            m += 1
+    # One frame per chosen class, each using at least 1 of the budget: the
+    # depth stays at most dim however many classes there are.  The classes
+    # are in degree order, so the first too large for the budget ends the
+    # loop.
+    def rec(start, budget, chosen):
+        for m_plus in range(0, budget + 1, 2):
+            m_minus = budget - m_plus
+            if m_minus % 2 == 1:
+                items = chosen + [(xm, m_minus)]
+                if m_plus:
+                    items = items + [(xp, m_plus)]
+                    for eta in (1, -1):
+                        out.append(_make_semisimple(ctx, items, eta))
+                else:
+                    out.append(_make_semisimple(ctx, items, None))
+        for idx in range(start, len(others)):
+            pc = others[idx]
+            if pc.deg > budget - 1:
+                break
+            m = 1
+            while m * pc.deg <= budget - 1:
+                rec(idx + 1, budget - m * pc.deg, chosen + [(pc, m)])
+                m += 1
 
     rec(0, dim, [])
     return sorted(out)

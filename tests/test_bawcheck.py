@@ -171,10 +171,9 @@ def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
     for name in ("symbols_with_core", "from_core_quotient_sym",
                  "enumerate_ibr_universe"):
         assert name not in calls, name
-    # once per (block, divisor), and once per (Brauer label, divisor) in
-    # weight_to_brauer's check
-    assert len(calls["weight_of"]) <= sum(len(rec["w"]) * (1 + rec["n_ibr"])
-                                          for rec in blocks)
+    # once per (block, divisor): weight_to_brauer's check reads the
+    # block table's weights
+    assert len(calls["weight_of"]) == sum(len(rec["w"]) for rec in blocks)
 
 
 def test_identity_class_fixed_by_actions():

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -424,3 +426,158 @@ def test_sweep_checks_out_before_any_work(tmp_path):
     assert code == 2, err
     assert err.startswith("sp-baw: error: ") and "Traceback" not in err
     assert not cache.exists()
+
+
+# The parallel sweep (spbaw.sweep).  _usable_cpus is raised so that workers
+# start even on a one-CPU machine; after every call no child may be left.
+
+_GRID = ["--p", "3", "--ell", "5,7", "--n", "1,2"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _worker_points(jobs):
+    from spbaw import cli, sweep
+    points = [(3, 1, ell, n) for ell in (5, 7) for n in (1, 2)]
+    shards = sweep.shards(points, jobs, cli.DEFAULT_WORK_LIMIT)
+    assert len(shards) == jobs
+    return {points[i] for shard in shards[1:] for i in shard}
+
+
+def test_sweep_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    from spbaw import sweep
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 4)
+    seen = {}
+    for jobs in ("1", "2", "3"):
+        # a relative cache directory, so that the summaries name the same one
+        (tmp_path / jobs).mkdir()
+        monkeypatch.chdir(tmp_path / jobs)
+        for run in ("writes", "compares"):
+            assert main(["sweep", *_GRID, "--jobs", jobs, "--cache-dir", "cache",
+                         "--out", run + ".json"]) == 0
+            _no_child_left()
+        seen[jobs] = {str(path.relative_to(tmp_path / jobs)): path.read_bytes()
+                      for path in sorted((tmp_path / jobs).rglob("*.json"))}
+    assert seen["1"] == seen["2"] == seen["3"]
+    assert len(seen["1"]) == 2 + 4
+    assert [c["status"] for c in json.loads(seen["1"]["compares.json"])["configs"]] \
+        == ["match"] * 4
+
+
+def test_sweep_fault_in_a_worker_fails_its_point(tmp_path, monkeypatch):
+    from spbaw import cli, sweep
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    broken = sorted(_worker_points(2))[0]
+    build = cli._build_report
+
+    def faulty(ctx, n, checks):
+        if (ctx.p, ctx.f, ctx.ell, n) == broken:
+            raise RuntimeError("synthetic worker failure")
+        return build(ctx, n, checks)
+
+    monkeypatch.setattr(cli, "_build_report", faulty)
+    out = tmp_path / "s.json"
+    code = main(["sweep", *_GRID, "--jobs", "2", "--cache-dir",
+                 str(tmp_path / "cache"), "--out", str(out)])
+    _no_child_left()
+    assert code == 1
+    for c in json.loads(out.read_text())["configs"]:
+        if (c["p"], c["f"], c["ell"], c["n"]) == broken:
+            assert c["status"] == "failed"
+            assert c["failed"] == "RuntimeError: synthetic worker failure"
+        else:
+            assert c["status"] == "new"
+
+
+def test_sweep_worker_that_dies_fails_its_points(tmp_path, monkeypatch):
+    from spbaw import cli, sweep
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    parent, build = os.getpid(), cli._build_report
+
+    def dying(ctx, n, checks):
+        if os.getpid() != parent:
+            os._exit(7)
+        return build(ctx, n, checks)
+
+    monkeypatch.setattr(cli, "_build_report", dying)
+    out = tmp_path / "s.json"
+    code = main(["sweep", *_GRID, "--jobs", "2", "--cache-dir",
+                 str(tmp_path / "cache"), "--out", str(out)])
+    _no_child_left()
+    assert code == 1
+    summary = json.loads(out.read_text())
+    in_worker = _worker_points(2)
+    for c in summary["configs"]:
+        if (c["p"], c["f"], c["ell"], c["n"]) in in_worker:
+            assert c["status"] == "failed"
+            assert "exited with status 7" in c["failed"]
+        else:
+            assert c["status"] == "new"
+    assert summary["regressions"] == len(in_worker)
+
+
+def test_sweep_oserror_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    from spbaw import cli, sweep
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    parent, emit = os.getpid(), cli._emit
+
+    def unwritable(text, out):
+        if os.getpid() != parent:
+            raise PermissionError(13, "Permission denied", out)
+        return emit(text, out)
+
+    monkeypatch.setattr(cli, "_emit", unwritable)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *_GRID, "--jobs", "2", "--cache-dir",
+              str(tmp_path / "cache"), "--out", str(tmp_path / "s.json")])
+    _no_child_left()
+    assert exc.value.code == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_shards_are_capped_and_keep_points_together(monkeypatch):
+    from spbaw import cli, sweep
+    points = [(3, 1, ell, n) for ell in (5, 7, 11) for n in (1, 2, 3)]
+    points.append(points[0])
+    limit = cli.DEFAULT_WORK_LIMIT
+    shards = sweep.shards(points, 10 ** 6, limit)   # starts no process
+    assert 1 <= len(shards) <= min(len(os.sched_getaffinity(0)), 9)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 10 ** 6)
+    for jobs, count in ((10 ** 6, 9), (3, 3), (2, 2), (1, 1)):
+        shards = sweep.shards(points, jobs, limit)
+        assert len(shards) == count
+        assert sorted(i for shard in shards for i in shard) == list(range(10))
+        assert all(shard == sorted(shard) for shard in shards)
+        assert any({0, 9} <= set(shard) for shard in shards)   # a repeat
+    # three shards: each (p, f, ell) on one shard, as the loads allow
+    assert sorted({points[i][2] for i in shard}
+                  for shard in sweep.shards(points, 3, limit)) == [{5}, {7}, {11}]
+
+
+def test_jobs_below_one_is_a_usage_error(tmp_path):
+    code, out, err = run_cli(["sweep", "--p", "3", "--ell", "5", "--n", "1",
+                              "--jobs", "0", "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "--jobs: must be at least 1" in err
+
+
+def test_cli_import_starts_no_process_machinery():
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+before = set(sys.modules)
+import spbaw.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, check=True)
+    new = proc.stdout.split()
+    assert "spbaw.cli" in new
+    # the sweep's grid runner is compiled and loaded by sweep alone
+    for name in ("multiprocessing", "concurrent.futures", "pickle", "subprocess",
+                 "spbaw.sweep"):
+        assert name not in new, name

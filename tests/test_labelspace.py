@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from spbaw import ffpoly, labelspace as ls, partcomb, symbcomb
@@ -63,6 +65,20 @@ def test_semisimple_counts_vs_oracle(ctx, n, flag):
         assert s.mult(ls.x_plus_class(ctx)) % 2 == 0
         if flag:
             assert all(ffpoly.is_ell_prime_order(pc, ctx) for pc, _ in s.entries)
+
+
+def test_semisimple_stack_depth_is_bounded_by_the_rank():
+    # (5,2,7,2) has hundreds of classes; a frame per skipped class would
+    # exceed a recursion limit of 120, a frame per chosen class does not
+    ctx = make_context(5, 2, 7)
+    ffpoly.enumerate_classes(ctx, 4, True)   # warm the class table
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        labels = ls.enumerate_semisimple(ctx, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(labels) == 650
 
 
 def test_weight_of_examples():
