@@ -28,30 +28,26 @@ def shards(points, jobs, work_limit):
     """The grid indices of points split into at most min(jobs, distinct
     points, usable CPUs) shards, each in grid order.  Points are placed
     largest-first by their size bound (0 for a refused point) on the
-    least-loaded shard; a point stays on the shard of its (p, f, ell), to
-    share its memo tables, where that does not raise the largest load.  A
-    repeated point stays on one shard, so that it sees the cache file the
-    first one wrote, as in a serial sweep."""
+    least-loaded shard.  A repeated point stays on one shard, so that it
+    sees the cache file the first one wrote, as in a serial sweep."""
     units = {}
     for i, point in enumerate(points):
         units.setdefault(point, []).append(i)
-
-    def cost(unit):
-        (p, f, _, n), indices = unit
-        bound = cli._work_bound(p, f, n) if n >= 1 else 0
-        return len(indices) * bound if bound <= work_limit else 0
-
     k = max(1, min(jobs, len(units), _usable_cpus()))
-    loads, out, home = [0] * k, [[] for _ in range(k)], {}
-    for unit in sorted(units.items(), key=cost, reverse=True):
-        c = cost(unit)
-        least = loads.index(min(loads))
-        s = home.setdefault(unit[0][:3], least)
-        if loads[s] + c > max(max(loads), loads[least] + c):
-            s = least
-        loads[s] += c
-        out[s] += unit[1]
-    return [sorted(shard) for shard in out if shard] or [[]]
+    if k == 1:
+        return [list(range(len(points)))]
+
+    costs = {}
+    for point, indices in units.items():
+        p, f, _, n = point
+        bound = cli._work_bound(p, f, n) if n >= 1 else 0
+        costs[point] = len(indices) * bound if bound <= work_limit else 0
+    loads, out = [0] * k, [[] for _ in range(k)]
+    for point in sorted(units, key=costs.__getitem__, reverse=True):
+        s = loads.index(min(loads))
+        loads[s] += costs[point]
+        out[s] += units[point]
+    return [sorted(shard) for shard in out if shard]
 
 
 def _fork_worker(work, shard):

@@ -553,9 +553,6 @@ def test_shards_are_capped_and_keep_points_together(monkeypatch):
         assert sorted(i for shard in shards for i in shard) == list(range(10))
         assert all(shard == sorted(shard) for shard in shards)
         assert any({0, 9} <= set(shard) for shard in shards)   # a repeat
-    # three shards: each (p, f, ell) on one shard, as the loads allow
-    assert sorted({points[i][2] for i in shard}
-                  for shard in sweep.shards(points, 3, limit)) == [{5}, {7}, {11}]
 
 
 def test_jobs_below_one_is_a_usage_error(tmp_path):
