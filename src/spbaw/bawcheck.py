@@ -81,16 +81,13 @@ def brauer_to_weight(ctx, ib):
     return WeightLabelQ(block=block, q=tuple(entries))
 
 
-def weight_to_brauer(ctx, wq, weights=None):
-    """Two-sided inverse of brauer_to_weight.  weights are the block's
-    (labelspace.block_weights), computed here when not given."""
+def weight_to_brauer(ctx, wq):
+    """Two-sided inverse of brauer_to_weight."""
     block = wq.block
     e, mode = ctx.e, ctx.mode
     entries = []
     j, j_collapsed = block.i, False
-    if weights is None:
-        weights = ls.block_weights(ctx, block)
-    for pc, w in weights:
+    for pc, w in ls.block_weights(ctx, block):
         q = wq.q_of(pc)
         kappa = block.core_of(pc)
         if q is None or len(q) != ls.branch_count(ctx, pc):
@@ -148,29 +145,23 @@ def _relabel_assignment(ctx, power, entries):
     return tuple(sorted(items))
 
 
-def act_on_block(ctx, action, block):
+def act_on_block(ctx, action, x):
+    """The action on a block or Brauer label (s, assignment, index,
+    collapsed): field(i) relabels s and the assignment, diagonal shifts an
+    index that has not collapsed."""
     if _is_identity(ctx, action):
-        return block
+        return x
+    s, assignment, index, collapsed = x
     if action.kind == "field":
-        return BlockLabel(s=act_on_semisimple(ctx, action, block.s),
-                          kappa=_relabel_assignment(ctx, action.power, block.kappa),
-                          i=block.i, i_collapsed=block.i_collapsed)
-    if block.i_collapsed:
-        return block
-    return BlockLabel(s=block.s, kappa=block.kappa,
-                      i=(block.i + 1) % 2, i_collapsed=False)
+        return type(x)(act_on_semisimple(ctx, action, s),
+                       _relabel_assignment(ctx, action.power, assignment),
+                       index, collapsed)
+    if collapsed:
+        return x
+    return type(x)(s, assignment, (index + 1) % 2, False)
 
 
-def act_on_ibr(ctx, action, ib):
-    if _is_identity(ctx, action):
-        return ib
-    if action.kind == "field":
-        return IBrLabel(s=act_on_semisimple(ctx, action, ib.s),
-                        lam=_relabel_assignment(ctx, action.power, ib.lam),
-                        j=ib.j, j_collapsed=ib.j_collapsed)
-    if ib.j_collapsed:
-        return ib
-    return IBrLabel(s=ib.s, lam=ib.lam, j=(ib.j + 1) % 2, j_collapsed=False)
+act_on_ibr = act_on_block
 
 
 def _flip_half(seq):
@@ -195,26 +186,22 @@ def act_on_weight(ctx, action, w):
 # ---------------------------------------------------------------------------
 # verification
 
-class BlockTable(namedtuple("BlockTable",
-                             "weights pairs weights_q weights_k k_images")):
-    """A block's values, each computed once: its weights
-    (labelspace.block_weights), each Brauer label with its weight label in
-    pairs (a list, so a label listed twice counts twice), the Q and K
-    weight labels, and k_images, the Q form of each K weight label."""
+class BlockTable(namedtuple("BlockTable", "pairs weights_q weights_k k_images")):
+    """A block's values, each computed once: each Brauer label with its
+    weight label in pairs (a list, so a label listed twice counts twice),
+    the Q and K weight labels, and k_images, the Q form of each K weight
+    label."""
     __slots__ = ()
 
 
-def block_table(ctx, block, weights=None):
-    if weights is None:
-        weights = ls.block_weights(ctx, block)
-    pairs = [(ib, brauer_to_weight(ctx, ib))
-             for ib in ls.enumerate_ibr(ctx, block, weights)]
+def block_table(ctx, block):
+    pairs = [(ib, brauer_to_weight(ctx, ib)) for ib in ls.enumerate_ibr(ctx, block)]
     for ib, w in pairs:
         if w.block != block:
             raise CheckFailed(f"{ib} maps into {w.block}, not its block {block}")
-    weights_k = ls.enumerate_weights_k(ctx, block, weights)
-    return BlockTable(weights, pairs, ls.enumerate_weights_q(ctx, block, weights),
-                      weights_k, [ls.k_to_q(ctx, wk) for wk in weights_k])
+    weights_k = ls.enumerate_weights_k(ctx, block)
+    return BlockTable(pairs, ls.enumerate_weights_q(ctx, block), weights_k,
+                      [ls.k_to_q(ctx, wk) for wk in weights_k])
 
 
 def bijection_of(tables):
@@ -241,7 +228,7 @@ def _bijection_witness(ctx, table):
     weight that is none; a k_to_q image that is no Q weight, or a Q weight
     that no K weight reaches."""
     for ib, w in table.pairs:
-        back = weight_to_brauer(ctx, w, table.weights)
+        back = weight_to_brauer(ctx, w)
         if back != ib:
             return {"failure": "round_trip", "ibr": ls.ibr_jsonable(ib),
                     "weight": ls.weight_q_jsonable(ctx, w),

@@ -32,21 +32,25 @@ def _context_jsonable(ctx):
             "e": ctx.e, "epsilon": ctx.epsilon}
 
 
-def _work_bound(p, f, n):
-    """The size bound q^(2n+1): the one work-cost model, for the work limit
-    and for balancing a sweep's shards."""
-    return (p ** f) ** (2 * n + 1)
+def _work_bound(p, f, n, work_limit):
+    """The size bound q^(2n+1) when it is at most work_limit, else None: the
+    one work-cost model, for the work limit and for balancing a sweep's
+    shards.  For p >= 2, q^(2n+1) >= 2^(f(2n+1)), so a bound of f(2n+1)
+    bits or more exceeds the limit and is never built."""
+    if p >= 2 and f * (2 * n + 1) >= work_limit.bit_length():
+        return None
+    bound = (p ** f) ** (2 * n + 1)
+    return bound if bound <= work_limit else None
 
 
 def _check_work_limit(p, f, n, work_limit):
     if n < 1:
         raise ValueError(f"symplectic rank n must be at least 1, got {n}")
-    est = _work_bound(p, f, n)
-    if est > work_limit:
+    if _work_bound(p, f, n, work_limit) is None:
         raise ValueError(
-            f"refusing to run: size bound q^(2n+1) = {est} exceeds "
-            f"the work limit {work_limit}; rerun with a larger --work-limit "
-            f"if this size is intended")
+            f"refusing to run: size bound q^(2n+1) = {p}^{f * (2 * n + 1)} "
+            f"exceeds the work limit {work_limit}; rerun with a larger "
+            f"--work-limit if this size is intended")
 
 
 def _parse_checks(text):
@@ -58,13 +62,11 @@ def _parse_checks(text):
 
 
 def _run_blocks(ctx, n, blocks, checks):
-    """A report record and a label table per block; no tables without checks.
-    Each block's weights are computed once, for both."""
-    weights = [ls.block_weights(ctx, b) for b in blocks]
-    records = [ls.block_jsonable(ctx, b, w) for b, w in zip(blocks, weights)]
+    """A report record and a label table per block; no tables without checks."""
+    records = [ls.block_jsonable(ctx, b) for b in blocks]
     if not checks:
         return records, []
-    tables = [bc.block_table(ctx, b, w) for b, w in zip(blocks, weights)]
+    tables = [bc.block_table(ctx, b) for b in blocks]
     bijection = bc.bijection_of(tables)
     generators = [bc.FIELD(1), bc.DIAGONAL]
     for block, rec, table in zip(blocks, records, tables):
@@ -77,9 +79,10 @@ def _run_blocks(ctx, n, blocks, checks):
                 rec["equivariance_witness"] = violations[0]
         if "invariants" in checks:
             try:
-                ls.audit_block(ctx, block, table.weights, n)
+                weights = ls.block_weights(ctx, block)
+                ls.audit_block(ctx, block, weights, n)
                 for wq in table.k_images:
-                    ls.audit_weight_label(ctx, wq, table.weights)
+                    ls.audit_weight_label(ctx, wq, weights)
                 rec["invariants_ok"] = True
             except ls.CheckFailed:
                 rec["invariants_ok"] = False

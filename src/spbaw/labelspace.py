@@ -215,9 +215,10 @@ def weight_of(ctx, block, pc):
     return lhs // step
 
 
+@lru_cache(maxsize=None)
 def block_weights(ctx, block):
     """((pc, w_Gamma), ...) over block_classes: a block's weights, computed
-    once and passed to the enumerators of its labels."""
+    once per block for its label enumerators, its report and its checks."""
     return tuple((pc, weight_of(ctx, block, pc)) for pc in block_classes(ctx, block.s))
 
 
@@ -236,11 +237,11 @@ def _z2_indices(degenerate):
     return ((0, True),) if degenerate else ((0, False), (1, False))
 
 
-def enumerate_blocks(ctx, n, ell_prime_only=True):
+def enumerate_blocks(ctx, n):
     """All block labels (s, kappa, i) with kappa admissible for s."""
     xp = x_plus_class(ctx)
     out = []
-    for s in enumerate_semisimple(ctx, n, ell_prime_only):
+    for s in enumerate_semisimple(ctx, n):
         choices = [[(pc, core) for core in
                     _core_choices(ctx, pc, s.mult(pc), s.eta_plus)]
                    for pc in block_classes(ctx, s)]
@@ -271,13 +272,12 @@ def _partitions_with_core(core, w, e):
     return tuple(partcomb.from_core_quotient(core, t) for t in quots)
 
 
-def enumerate_ibr(ctx, block, weights=None):
+def enumerate_ibr(ctx, block):
     """The Brauer-character labels of a block: component cores equal to
-    kappa, with the Z/2 index collapsing on degenerate X+1 parts.  weights
-    is block_weights(ctx, block), computed here when not given."""
+    kappa, with the Z/2 index collapsing on degenerate X+1 parts."""
     xp = x_plus_class(ctx)
     per_class = []
-    for pc, w in weights or block_weights(ctx, block):
+    for pc, w in block_weights(ctx, block):
         core = block.core_of(pc)
         if pc.family != "F0":
             vals = _partitions_with_core(core, w, pc.e_gamma)
@@ -392,11 +392,11 @@ def branch_count(ctx, pc):
     return pc.beta * (ctx.e if pc.family == "F0" else pc.e_gamma)
 
 
-def _weight_labels(ctx, block, weights, label_cls, tuples_of):
+def _weight_labels(ctx, block, label_cls, tuples_of):
     """One label_cls(block, entries) per choice of a branch_count-tuple
     tuples_of(k, w_Gamma) at every divisor."""
     per_class = [[(pc, t) for t in tuples_of(branch_count(ctx, pc), w)]
-                 for pc, w in weights or block_weights(ctx, block)]
+                 for pc, w in block_weights(ctx, block)]
     return sorted(label_cls(block, x) for x in product(*per_class))
 
 
@@ -419,18 +419,17 @@ def _tower_tuples(k, w, ell):
     return tuple(partcomb.weighted_tuples(k, w, lambda v: _core_towers(ell, v)))
 
 
-def enumerate_weights_q(ctx, block, weights=None):
+def enumerate_weights_q(ctx, block):
     """All ordered-quotient weight labels of a block: one sequence of
-    beta*e_Gamma partitions of total w_Gamma per divisor.  weights as for
-    enumerate_ibr."""
-    return _weight_labels(ctx, block, weights, WeightLabelQ, _partition_tuples)
+    beta*e_Gamma partitions of total w_Gamma per divisor."""
+    return _weight_labels(ctx, block, WeightLabelQ, _partition_tuples)
 
 
-def enumerate_weights_k(ctx, block, weights=None):
+def enumerate_weights_k(ctx, block):
     """All core-tower weight labels, enumerated independently of the
     Q-form via the level structure: one sequence of beta*e_Gamma ell-core
     towers of total weighted size w_Gamma per divisor."""
-    return _weight_labels(ctx, block, weights, WeightLabelK,
+    return _weight_labels(ctx, block, WeightLabelK,
                           lambda k, w: _tower_tuples(k, w, ctx.ell))
 
 
@@ -511,11 +510,11 @@ def semisimple_jsonable(s):
             "eta_plus": s.eta_plus, "eta_minus": s.eta_minus}
 
 
-def block_jsonable(ctx, b, weights=None):
+def block_jsonable(ctx, b):
     return {"s": semisimple_jsonable(b.s),
             "kappa": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in b.kappa],
             "i": b.i, "i_collapsed": b.i_collapsed,
-            "w": [[poly_jsonable(pc), w] for pc, w in weights or block_weights(ctx, b)]}
+            "w": [[poly_jsonable(pc), w] for pc, w in block_weights(ctx, b)]}
 
 
 def ibr_jsonable(label):

@@ -40,8 +40,8 @@ def shards(points, jobs, work_limit):
     costs = {}
     for point, indices in units.items():
         p, f, _, n = point
-        bound = cli._work_bound(p, f, n) if n >= 1 else 0
-        costs[point] = len(indices) * bound if bound <= work_limit else 0
+        bound = cli._work_bound(p, f, n, work_limit) if n >= 1 else None
+        costs[point] = len(indices) * (bound or 0)
     loads, out = [0] * k, [[] for _ in range(k)]
     for point in sorted(units, key=costs.__getitem__, reverse=True):
         s = loads.index(min(loads))

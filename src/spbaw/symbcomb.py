@@ -239,61 +239,17 @@ def symbols_with_core(core, w, e, mode):
 
 def enumerate_symbols(rank_n, defect_pred=None):
     """Every normal-form symbol of the given rank whose defect satisfies
-    the predicate; degenerate symbols appear once."""
+    the predicate; degenerate symbols appear once.  The symbols of rank n
+    and defect d are in bijection with the bipartitions (alpha, beta) of
+    n - d^2 // 4: alpha on the longer row, beta on the shorter (Lusztig).
+    At d = 0 the swapped pair gives the same symbol."""
     assert rank_n >= 0
-    out = []
+    out = set()
     d = 0
-    while True:
-        if _min_rank(d, 0) > rank_n:
-            break
+    while d * d // 4 <= rank_n:
         if defect_pred is None or defect_pred(d):
-            b = 0
-            while _min_rank(b + d, b) <= rank_n:
-                out.extend(_symbols_with_shape(rank_n, b + d, b))
-                b += 1
+            for alpha, beta in enumerate_tuples(2, rank_n - d * d // 4):
+                m = max(len(alpha) - d, len(beta))
+                out.add(LSymbol(beta_set(alpha, m + d), beta_set(beta, m)))
         d += 1
     return sorted(out)
-
-
-def _min_rank(a, b):
-    if a == 0 and b == 0:
-        return 0
-    base = a * (a - 1) // 2 + b * (b - 1) // 2
-    if a and b:
-        base += min(a, b)  # only one row may contain 0
-    return base - (a + b - 1) ** 2 // 4
-
-
-def _subsets_with_sum(count, total, allow_zero, cap):
-    """Strictly decreasing tuples of `count` naturals with the given sum."""
-    if count == 0:
-        return [()] if total == 0 else []
-    out = []
-
-    def rec(k, rest, maxval, prefix):
-        if k == 0:
-            if rest == 0:
-                out.append(tuple(prefix))
-            return
-        lo = 0 if allow_zero else 1
-        floor_needed = (k - 1) * lo + (k - 1) * (k - 2) // 2
-        for v in range(min(maxval, rest - floor_needed), lo + k - 2, -1):
-            prefix.append(v)
-            rec(k - 1, rest - v, v - 1, prefix)
-            prefix.pop()
-
-    rec(count, total, cap, [])
-    return out
-
-
-def _symbols_with_shape(rank_n, a, b):
-    target = rank_n + (a + b - 1) ** 2 // 4
-    seen = set()
-    for sx in range(target + 1):
-        for X in _subsets_with_sum(a, sx, True, sx):
-            allow_zero_y = 0 not in X
-            for Y in _subsets_with_sum(b, target - sx, allow_zero_y, target - sx):
-                sym = LSymbol(X, Y)
-                assert sym.rows == tuple(sorted((X, Y))), "shape enumeration must be reduced"
-                seen.add(sym)
-    return sorted(seen)

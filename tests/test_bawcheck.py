@@ -157,6 +157,7 @@ def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
     ls._core_towers.cache_clear()
     ls._tower_tuples.cache_clear()
     ls._symbol_table.cache_clear()
+    ls.block_weights.cache_clear()
     bc._field_on_semisimple.cache_clear()
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2",

@@ -115,6 +115,15 @@ def test_work_limit_refusal():
     assert "work limit" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "blocks"])
+def test_huge_rank_is_refused_by_the_work_limit(command):
+    # q^(2n+1) has about a million digits: the refusal names its exponent
+    code, out, err = run_cli([command, "--p", "3", "--ell", "5", "--n", "1000000"])
+    assert code == 2, err
+    assert "work limit" in err and "3^2000001" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_unknown_check_rejected():
     code, out, err = run_cli(["verify", "--p", "3", "--f", "1", "--ell", "5",
                               "--n", "1", "--checks", "bogus"])
@@ -465,6 +474,19 @@ def test_sweep_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     assert len(seen["1"]) == 2 + 4
     assert [c["status"] for c in json.loads(seen["1"]["compares.json"])["configs"]] \
         == ["match"] * 4
+
+
+def test_sweep_refuses_a_huge_point_by_the_work_limit(tmp_path, monkeypatch):
+    from spbaw import sweep
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    out = tmp_path / "s.json"
+    code = main(["sweep", "--p", "3", "--ell", "5", "--n", "1,1000000", "--jobs", "2",
+                 "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+    _no_child_left()
+    assert code == 2
+    configs = json.loads(out.read_text())["configs"]
+    assert [c["status"] for c in configs] == ["new", "error"]
+    assert "work limit" in configs[1]["error"]
 
 
 def test_sweep_fault_in_a_worker_fails_its_point(tmp_path, monkeypatch):

@@ -82,6 +82,77 @@ def test_enumerate_symbols_matches_bipartition_count():
         assert len(syms) == len(enumerate_tuples(2, n))
 
 
+# A reference enumerator that does not use bipartitions: a search over the
+# row shapes (a, b) and the strictly decreasing rows of each shape.
+
+def shape_search_symbols(rank_n, defect_pred=None):
+    assert rank_n >= 0
+    out = []
+    d = 0
+    while True:
+        if _min_rank(d, 0) > rank_n:
+            break
+        if defect_pred is None or defect_pred(d):
+            b = 0
+            while _min_rank(b + d, b) <= rank_n:
+                out.extend(_symbols_with_shape(rank_n, b + d, b))
+                b += 1
+        d += 1
+    return sorted(out)
+
+
+def _min_rank(a, b):
+    if a == 0 and b == 0:
+        return 0
+    base = a * (a - 1) // 2 + b * (b - 1) // 2
+    if a and b:
+        base += min(a, b)  # only one row may contain 0
+    return base - (a + b - 1) ** 2 // 4
+
+
+def _subsets_with_sum(count, total, allow_zero, cap):
+    """Strictly decreasing tuples of `count` naturals with the given sum."""
+    if count == 0:
+        return [()] if total == 0 else []
+    out = []
+
+    def rec(k, rest, maxval, prefix):
+        if k == 0:
+            if rest == 0:
+                out.append(tuple(prefix))
+            return
+        lo = 0 if allow_zero else 1
+        floor_needed = (k - 1) * lo + (k - 1) * (k - 2) // 2
+        for v in range(min(maxval, rest - floor_needed), lo + k - 2, -1):
+            prefix.append(v)
+            rec(k - 1, rest - v, v - 1, prefix)
+            prefix.pop()
+
+    rec(count, total, cap, [])
+    return out
+
+
+def _symbols_with_shape(rank_n, a, b):
+    target = rank_n + (a + b - 1) ** 2 // 4
+    seen = set()
+    for sx in range(target + 1):
+        for X in _subsets_with_sum(a, sx, True, sx):
+            allow_zero_y = 0 not in X
+            for Y in _subsets_with_sum(b, target - sx, allow_zero_y, target - sx):
+                sym = LSymbol(X, Y)
+                assert sym.rows == tuple(sorted((X, Y))), "shape enumeration must be reduced"
+                seen.add(sym)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("pred", [None, lambda d: d % 2 == 1,
+                                  lambda d: d % 4 == 0, lambda d: d % 4 == 2],
+                         ids=["all", "odd", "mod4_0", "mod4_2"])
+def test_enumerate_symbols_matches_shape_search(pred):
+    for n in range(7):
+        assert sc.enumerate_symbols(n, pred) == shape_search_symbols(n, pred)
+
+
 def test_core_no_further_moves_and_rank_drop():
     rng = random.Random(12)
     for mode in (HOOK, COHOOK):
