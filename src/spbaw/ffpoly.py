@@ -8,7 +8,12 @@ with leading coefficient 1.  The families:
   F2 = Delta * Delta^* with Delta irreducible, not self-star, not X or X+-1
 
 star(g) is the monic polynomial whose roots are the inverses of the roots
-of g; frobenius(g, i) the one whose roots are the p^i-th powers.
+of g; frobenius(g, i) the one whose roots are the p^i-th powers, which is
+g with its coefficients raised to the p^i.
+
+The class table takes its irreducibles from one product sieve per degree,
+shared by every ell and rank over F_q.  Rabin's test (is_irreducible)
+serves classify and the brute-force reference enumerate_irreducibles.
 """
 
 import json
@@ -167,57 +172,12 @@ def star(g, ctx):
     return poly_monic(rev, ctx.gf)
 
 
-def _min_poly_of_power(g, power, ctx):
-    """Minimal polynomial of t^power in F_q[t]/(g), g irreducible.
-
-    Found as the first linear dependency among 1, b, b^2, ... via exact
-    Gaussian elimination over F_q.
-    """
-    gf = ctx.gf
-    d = poly_deg(g)
-    b = poly_powmod((0, 1), power, g, gf)
-    # rows[k] = coefficient vector of b^k, length d
-    rows = []
-    cur = (1,)
-    for _ in range(d + 1):
-        vec = list(cur) + [0] * (d - len(cur))
-        rows.append(vec)
-        cur = poly_rem(poly_mul(cur, b, gf), g, gf)
-    # eliminate: find smallest k with rows[0..k] dependent; solve for the
-    # monic dependency.  Gaussian elimination with an augmented identity.
-    aug = [rows[k] + [1 if j == k else 0 for j in range(d + 1)]
-           for k in range(d + 1)]
-    pivots = {}
-    for row in aug:
-        r = row[:]
-        for col, prow in pivots.items():
-            c = r[col]
-            if c:
-                r = [gf.sub(x, gf.mul(c, y)) for x, y in zip(r, prow)]
-        lead = next((i for i in range(d) if r[i]), None)
-        if lead is None:
-            coeffs = r[d:]
-            mp = poly_trim(tuple(coeffs))
-            return poly_monic(mp, gf)
-        inv = gf.inv(r[lead])
-        pivots[lead] = [gf.mul(x, inv) for x in r]
-    raise AssertionError("no dependency found")
-
-
 def frobenius(g, i, ctx):
-    """Polynomial whose roots are the p^i-th powers of the roots of g.
-
-    g must be irreducible or an F2 product; an F2 product is mapped
-    factorwise and re-assembled.
-    """
-    assert i >= 0
-    if i == 0:
-        return g
-    if is_irreducible(g, ctx):
-        return _min_poly_of_power(g, ctx.p ** i, ctx)
-    delta = _split_f2(g, ctx)
-    img = _min_poly_of_power(delta, ctx.p ** i, ctx)
-    return poly_mul(img, star(img, ctx), ctx.gf)
+    """Polynomial whose roots are the p^i-th powers of the roots of g: g
+    with each coefficient raised to the p^i, as the p^i-power map is a ring
+    automorphism of F_q[X] fixing X."""
+    power = ctx.p ** (i % ctx.f)
+    return tuple(ctx.gf.pow(c, power) for c in g)
 
 
 def _split_f2(g, ctx):
@@ -225,12 +185,8 @@ def _split_f2(g, ctx):
     star pair)."""
     d = poly_deg(g)
     assert d % 2 == 0 and d >= 2
-    half = d // 2
-    for enc in range(ctx.q ** half):
-        cand = tuple((enc // ctx.q ** i) % ctx.q for i in range(half)) + (1,)
-        if cand[0] == 0:
-            continue
-        if poly_rem(g, cand, ctx.gf) == (0,) and is_irreducible(cand, ctx):
+    for cand in _irreducibles_of_degree(ctx, d // 2):
+        if cand[0] and poly_rem(g, cand, ctx.gf) == (0,):
             st = star(cand, ctx)
             if st != cand and poly_mul(cand, st, ctx.gf) == g:
                 return min(cand, st)
@@ -327,11 +283,11 @@ def enumerate_classes(ctx, max_total_deg, ell_prime_only=False):
     """All elementary-divisor classes of degree <= max_total_deg, sorted.
 
     Only the irreducible factors are searched for, each at degree
-    d <= max_total_deg / 2, q^d monic candidates h per degree.  An F1
-    member of degree 2d is the palindrome X^d h(X + 1/X), which is
-    irreducible iff h is and h(2) h(-2) is a non-square in F_q (Meyn
-    1990, q odd); an F2 product of degree 2d has a factor of degree d,
-    tested once per star pair.
+    d <= max_total_deg / 2, among the sieved irreducibles h of degree d.
+    An F1 member of degree 2d is the palindrome X^d h(X + 1/X), which is
+    irreducible iff h(2) h(-2) is a non-square in F_q (Meyn 1990, q odd);
+    an F2 product of degree 2d has a factor of degree d, taken once per
+    star pair.
     """
     return list(_enumerate_classes_cached(ctx, max_total_deg, ell_prime_only))
 
@@ -349,20 +305,32 @@ def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
     return tuple(sorted(classes))
 
 
-_FACTORS = {}   # (p, f, d) -> _factors_of_degree(ctx, d)
+_IRREDUCIBLES = {}   # (p, f, d) -> _irreducibles_of_degree(ctx, d)
+_FACTORS = {}        # (p, f, d) -> _factors_of_degree(ctx, d)
+
+
+def _irreducibles_of_degree(ctx, d):
+    """The monic irreducibles of degree d in coefficient order, by a sieve:
+    a monic polynomial is reducible iff it is a b with a a monic irreducible
+    of degree i <= d/2 (from this table) and b monic of degree d - i."""
+    key = ctx.p, ctx.f, d
+    if key not in _IRREDUCIBLES:
+        reducible = {poly_mul(a, c + (1,), ctx.gf) for i in range(1, d // 2 + 1)
+                     for a in _irreducibles_of_degree(ctx, i)
+                     for c in product(range(ctx.q), repeat=d - i)}
+        _IRREDUCIBLES[key] = tuple(h for h in (c + (1,) for c in product(range(ctx.q), repeat=d))
+                                   if h not in reducible)
+    return _IRREDUCIBLES[key]
 
 
 def _factors_of_degree(ctx, d):
-    """The F1 members of degree 2d and the F2 factors of degree d: the
-    search over the q^d monic h of degree d.  It depends only on F_q and d,
-    so every ell and rank over the same field shares it."""
+    """The F1 members of degree 2d and the F2 factors of degree d, from the
+    monic irreducibles h of degree d.  They depend only on F_q and d, so
+    every ell and rank over the same field shares them."""
     key = ctx.p, ctx.f, d
     if key not in _FACTORS:
         found = []
-        for c in product(range(ctx.q), repeat=d):
-            h = c + (1,)
-            if not is_irreducible(h, ctx):
-                continue
+        for h in _irreducibles_of_degree(ctx, d):
             if _reciprocal_stays_irreducible(h, ctx):
                 found.append(_reciprocal_transform(h, ctx))
             # X has no star; X+-1 and the other self-star ones are not F2
@@ -416,8 +384,9 @@ def frobenius_class(pc, i, ctx):
 def _frobenius_class_cached(pc, i, ctx):
     if pc.family == "F0":
         return pc
-    out = _class_of_factor(_min_poly_of_power(pc.factor, ctx.p ** i, ctx), ctx)
-    assert out.family == pc.family and out.e_gamma == pc.e_gamma
+    out = _class_of_factor(frobenius(pc.factor, i, ctx), ctx)
+    if out.family != pc.family or out.e_gamma != pc.e_gamma:
+        raise AssertionError(f"frobenius image {out} of {pc} changes its family or e_Gamma")
     return out
 
 

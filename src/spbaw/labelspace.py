@@ -109,6 +109,11 @@ def enumerate_semisimple(ctx, n, ell_prime_only=True):
     """All semisimple class labels for SO_{2n+1}(q); the eigenvalue 1 is
     always present with odd multiplicity and the multiplicity at X+1 is
     even."""
+    return list(_enumerate_semisimple_cached(ctx, n, ell_prime_only))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_semisimple_cached(ctx, n, ell_prime_only):
     assert n >= 1
     dim = 2 * n + 1
     xm, xp = x_minus_class(ctx), x_plus_class(ctx)
@@ -141,7 +146,7 @@ def enumerate_semisimple(ctx, n, ell_prime_only=True):
                 m += 1
 
     rec(0, dim, [])
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,32 @@ def test_verify_maps_each_brauer_label_once(tmp_path, monkeypatch):
 
 
 def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
-    # the Rabin search depends on F_q and the degree only: a second ell
-    # over the same field tests no polynomial again
-    from spbaw import ffpoly
+    # the irreducible sieve depends on F_q and the degree only: a second
+    # ell over the same field sieves no degree again
+    from spbaw import ffpoly, labelspace
+    sieved = []
+
+    class Table(dict):
+        def __setitem__(self, key, value):
+            sieved.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(ffpoly, "_IRREDUCIBLES", Table())
+    monkeypatch.setattr(ffpoly, "_FACTORS", {})
+    ffpoly._enumerate_classes_cached.cache_clear()
+    labelspace._enumerate_semisimple_cached.cache_clear()
+    for ell, first in ((5, True), (7, False)):
+        sieved.clear()
+        assert main(["verify", "--p", "3", "--f", "1", "--ell", str(ell), "--n", "2",
+                     "--out", str(tmp_path / f"ell{ell}.json")]) == 0
+        assert bool(sieved) == first, ell
+
+
+@pytest.mark.parametrize("p,f,ell,n", [(5, 1, 3, 3), (3, 2, 5, 2)])
+def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
+    # the irreducibles come from the sieve and the Frobenius images from
+    # coefficient powers, on a cold class table
+    from spbaw import bawcheck, ffpoly, labelspace
     calls = []
     is_irreducible = ffpoly.is_irreducible
 
@@ -269,13 +292,17 @@ def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
         return is_irreducible(g, ctx)
 
     monkeypatch.setattr(ffpoly, "is_irreducible", counted)
+    monkeypatch.setattr(ffpoly, "_IRREDUCIBLES", {})
     monkeypatch.setattr(ffpoly, "_FACTORS", {})
     ffpoly._enumerate_classes_cached.cache_clear()
-    for ell, first in ((5, True), (7, False)):
-        calls.clear()
-        assert main(["verify", "--p", "3", "--f", "1", "--ell", str(ell), "--n", "2",
-                     "--out", str(tmp_path / f"ell{ell}.json")]) == 0
-        assert bool(calls) == first, ell
+    ffpoly._frobenius_class_cached.cache_clear()
+    labelspace._enumerate_semisimple_cached.cache_clear()
+    bawcheck._field_on_semisimple.cache_clear()
+    assert main(["verify", "--p", str(p), "--f", str(f), "--ell", str(ell),
+                 "--n", str(n), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == []
+    assert ffpoly._IRREDUCIBLES
+    assert (ffpoly._frobenius_class_cached.cache_info().misses > 0) == (f > 1)
 
 
 @pytest.mark.parametrize("exc", [AssertionError, CheckFailed])
@@ -305,7 +332,8 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 # the diagonal inside the action-law check only; over F_9, field(2), the
 # identity, acts as field(1) inside the action-law check only; the
 # bijection sees a symbol core that is not its block's, so a weight leaves
-# the block it is tabulated for.
+# the block it is tabulated for; over F_9, the Frobenius image of every
+# polynomial is X+1, which leaves the family of the class it should move.
 _BREAK_AUDIT = """
 import spbaw.labelspace as ls
 audit_weight_label = ls.audit_weight_label
@@ -331,14 +359,20 @@ def skewed(sym, e, mode):
     return (sc.LSymbol((9,), ()) if caller == "brauer_to_weight" else core), A, B
 sc._extract = skewed
 """
+_BREAK_FROBENIUS = """
+import spbaw.ffpoly as ff
+ff.frobenius = lambda g, i, ctx: ff.poly_x_plus_one(ctx)
+"""
 
 
 @pytest.mark.parametrize("inject,broken,f,n",
                          [(_BREAK_AUDIT, "invariants_ok", 1, 1),
                           (_BREAK_ACTION_LAWS, "action_laws_ok", 1, 1),
                           (_BREAK_FIELD_TWO, "action_laws_ok", 2, 1),
-                          (_BREAK_BIJECTION, "failed", 1, 2)],
-                         ids=["audit", "action_laws", "field_two", "bijection"])
+                          (_BREAK_BIJECTION, "CheckFailed", 1, 2),
+                          (_BREAK_FROBENIUS, "AssertionError", 2, 1)],
+                         ids=["audit", "action_laws", "field_two", "bijection",
+                              "frobenius"])
 def test_check_failures_survive_python_O(inject, broken, f, n):
     script = inject + f"""
 import sys
@@ -353,8 +387,8 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
     report = json.loads(proc.stdout)
     summary = report["summary"]
     assert summary["all_pass"] is False
-    if broken == "failed":
-        assert report["failed"].startswith("CheckFailed"), report["failed"]
+    if broken in ("CheckFailed", "AssertionError"):
+        assert report["failed"].startswith(broken + ": "), report["failed"]
         return
     assert all(rec["equivariant"] for rec in report["blocks"])
     invariants = [rec["invariants_ok"] for rec in report["blocks"]]
@@ -592,7 +626,7 @@ before = set(sys.modules)
 import spbaw.cli
 print(" ".join(sorted(set(sys.modules) - before)))
 """
-    proc = subprocess.run([sys.executable, "-I", "-c", script],
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", script],
                           capture_output=True, text=True, check=True)
     new = proc.stdout.split()
     assert "spbaw.cli" in new

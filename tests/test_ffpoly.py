@@ -5,6 +5,7 @@ import pytest
 
 from spbaw.fieldctx import make_context, order_mod
 from spbaw import ffpoly as fp
+from spbaw.ffpoly import poly_deg, poly_monic, poly_mul, poly_powmod, poly_rem, poly_trim
 
 
 CTX35 = make_context(3, 1, 5)
@@ -311,3 +312,71 @@ def test_frobenius_class_matches_polynomial_frobenius(ctx, max_total_deg):
         for i in range(1, ctx.f):
             want = fp.classify(fp.frobenius(pc.gamma, i, ctx), ctx)
             assert fp.frobenius_class(pc, i, ctx) == want
+
+
+@pytest.mark.parametrize("p,f,maxdeg", [(3, 1, 4), (5, 1, 4), (7, 1, 4), (3, 2, 4),
+                                        (5, 2, 2), (3, 3, 2)],
+                         ids=["q3", "q5", "q7", "q9", "q25", "q27"])
+def test_sieve_matches_rabin_search(monkeypatch, p, f, maxdeg):
+    ctx = make_context(p, f, 11)
+    monkeypatch.setattr(fp, "_IRREDUCIBLES", {})
+    sieved = [g for d in range(1, maxdeg + 1) for g in fp._irreducibles_of_degree(ctx, d)]
+    want = sorted(fp.enumerate_irreducibles(ctx, maxdeg), key=lambda g: (len(g), g))
+    assert sieved == want
+
+
+def _min_poly_of_power(g, power, ctx):
+    """Minimal polynomial of t^power in F_q[t]/(g), g irreducible.
+
+    Found as the first linear dependency among 1, b, b^2, ... via exact
+    Gaussian elimination over F_q.
+    """
+    gf = ctx.gf
+    d = poly_deg(g)
+    b = poly_powmod((0, 1), power, g, gf)
+    # rows[k] = coefficient vector of b^k, length d
+    rows = []
+    cur = (1,)
+    for _ in range(d + 1):
+        vec = list(cur) + [0] * (d - len(cur))
+        rows.append(vec)
+        cur = poly_rem(poly_mul(cur, b, gf), g, gf)
+    # eliminate: find smallest k with rows[0..k] dependent; solve for the
+    # monic dependency.  Gaussian elimination with an augmented identity.
+    aug = [rows[k] + [1 if j == k else 0 for j in range(d + 1)]
+           for k in range(d + 1)]
+    pivots = {}
+    for row in aug:
+        r = row[:]
+        for col, prow in pivots.items():
+            c = r[col]
+            if c:
+                r = [gf.sub(x, gf.mul(c, y)) for x, y in zip(r, prow)]
+        lead = next((i for i in range(d) if r[i]), None)
+        if lead is None:
+            coeffs = r[d:]
+            mp = poly_trim(tuple(coeffs))
+            return poly_monic(mp, gf)
+        inv = gf.inv(r[lead])
+        pivots[lead] = [gf.mul(x, inv) for x in r]
+    raise AssertionError("no dependency found")
+
+
+@pytest.mark.parametrize("p,f,maxdeg", [(3, 2, 4), (5, 2, 2), (3, 3, 2)],
+                         ids=["q9", "q25", "q27"])
+def test_frobenius_matches_minimal_polynomial_of_the_power(p, f, maxdeg):
+    """On an irreducible g, the coefficient powers equal the minimal
+    polynomial of t^(p^i) in F_q[t]/(g); on an F2 product Delta Delta^*
+    of degree <= 4, the product of the image of Delta and its star."""
+    ctx = make_context(p, f, 11)
+    irreducibles = fp.enumerate_irreducibles(ctx, maxdeg)
+    f2 = [(g, fp.star(g, ctx)) for g in irreducibles
+          if poly_deg(g) <= 2 and g[0] and g < fp.star(g, ctx)]
+    assert f2
+    for i in range(1, f):
+        for g in irreducibles:
+            assert fp.frobenius(g, i, ctx) == _min_poly_of_power(g, p ** i, ctx), (g, i)
+        for delta, delta_star in f2:
+            img = _min_poly_of_power(delta, p ** i, ctx)
+            want = poly_mul(img, fp.star(img, ctx), ctx.gf)
+            assert fp.frobenius(poly_mul(delta, delta_star, ctx.gf), i, ctx) == want

@@ -86,7 +86,7 @@ def test_cli_import_loads_no_heavy_modules():
     heavy = ("dataclasses", "inspect", "ast", "dis", "csv")
     script = (f"import sys; sys.path.insert(0, {SRC!r}); import spbaw.cli; "
               f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""

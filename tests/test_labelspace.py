@@ -285,3 +285,16 @@ def test_weight_tuple_tables_match_the_enumerators(ell):
             assert list(parts) == partcomb.enumerate_tuples(k, w)
             assert ls._partition_tuples(k, w) is parts
 
+
+
+def test_semisimple_labels_are_enumerated_once_per_rank():
+    # enumerate_blocks and universe_size share one enumeration; each caller
+    # gets its own list
+    ctx = make_context(3, 1, 7)
+    ls._enumerate_semisimple_cached.cache_clear()
+    blocks = ls.enumerate_blocks(ctx, 2)
+    assert ls.universe_size(ctx, 2) == sum(len(ls.enumerate_ibr(ctx, b)) for b in blocks)
+    assert ls._enumerate_semisimple_cached.cache_info().misses == 1
+    labels = ls.enumerate_semisimple(ctx, 2)
+    labels.clear()
+    assert ls.enumerate_semisimple(ctx, 2)
