@@ -174,31 +174,26 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def cmd_blocks(args):
-    _check_work_limit(args.p, args.f, args.n, args.work_limit)
-    ctx = make_context(args.p, args.f, args.ell)
-    report = _build_report(ctx, args.n, set())
-    text = _report_json(report) if args.format == "json" else _report_csv(report)
-    _emit(text, args.out)
-    return 0
-
-
-def cmd_verify(args):
-    _check_work_limit(args.p, args.f, args.n, args.work_limit)
-    ctx = make_context(args.p, args.f, args.ell)
-    checks = _parse_checks(args.checks)
+def _report_or_failure(ctx, n, checks):
+    """The report, or on an internal fault while building it a report with
+    no blocks that fails and names the fault."""
     try:
-        report = _build_report(ctx, args.n, checks)
-    except Exception as exc:  # preserve partial output with a failure marker
-        report = {"version": __version__, "context": _context_jsonable(ctx),
-                  "n": args.n, "checks": sorted(checks), "blocks": [],
-                  "summary": {"all_pass": False},
-                  "failed": f"{type(exc).__name__}: {exc}"}
-        text = _report_json(report)
-        _emit(text, args.out)
-        return 1
-    text = _report_json(report) if args.format == "json" else _report_csv(report)
-    _emit(text, args.out)
+        return _build_report(ctx, n, checks)
+    except Exception as exc:  # an internal fault counts as a failed check
+        return {"version": __version__, "context": _context_jsonable(ctx),
+                "n": n, "checks": sorted(checks), "blocks": [],
+                "summary": {"all_pass": False},
+                "failed": f"{type(exc).__name__}: {exc}"}
+
+
+def cmd_report(args):
+    """blocks (no checks) and verify; a failed report stays JSON."""
+    _check_work_limit(args.p, args.f, args.n, args.work_limit)
+    ctx = make_context(args.p, args.f, args.ell)
+    checks = _parse_checks(args.checks) if args.command == "verify" else set()
+    report = _report_or_failure(ctx, args.n, checks)
+    as_csv = args.format == "csv" and "failed" not in report
+    _emit(_report_csv(report) if as_csv else _report_json(report), args.out)
     return 0 if report["summary"]["all_pass"] else 1
 
 
@@ -231,12 +226,10 @@ def _sweep_point(point, checks, cache_dir, work_limit):
     except ValueError as exc:
         entry.update(status="error", error=str(exc))
         return entry, 2
-    try:
-        report = _build_report(ctx, n, checks)
-    except Exception as exc:  # a check raised, as in verify
-        entry["failed"] = f"{type(exc).__name__}: {exc}"
-        report = None
-    if report is None or not report["summary"]["all_pass"]:
+    report = _report_or_failure(ctx, n, checks)
+    if not report["summary"]["all_pass"]:
+        if "failed" in report:
+            entry["failed"] = report["failed"]
         entry["status"] = "failed"
         return entry, 1
     key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
@@ -318,13 +311,13 @@ def build_parser():
 
     b = subs.add_parser("blocks", help="emit the block table")
     _add_common(b)
-    b.set_defaults(func=cmd_blocks)
+    b.set_defaults(func=cmd_report)
 
     v = subs.add_parser("verify", help="run per-block checks")
     _add_common(v)
     v.add_argument("--checks", default=None,
                    help="comma list from: " + ",".join(ALL_CHECKS))
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_report)
 
     s = subs.add_parser("sweep", help="run a grid and compare to the cache")
     _add_common(s, grid=True)

@@ -178,43 +178,49 @@ def _defect_tag(ctx, pc, eta_plus):
 
 
 @lru_cache(maxsize=None)
-def _symbol_table(rank_n, tag, e, mode):
-    """The rank-n symbols in the defect class `tag`, grouped by e-core:
-    {core: sorted symbols}, cores in order.  Each symbol is enumerated and
-    extracted once.  The symbols with core kappa and weight w are the
-    symbols of rank rank(kappa) + e*w with core kappa, all in one defect
-    class (a cohook changes the defect by 2), so a group is
-    symbcomb.symbols_with_core(kappa, w, e, mode)."""
+def _component_table(tag, size, e, mode):
+    """The components of one size grouped by core: {core: sorted members},
+    cores in order.  Tag "partition": the partitions of size by e-core;
+    else the rank-size symbols in the defect class tag by e-core in mode.
+    Each member is enumerated and extracted once.  The members with core
+    kappa and weight w are those of size |kappa| + e*w with core kappa, all
+    in one defect class (a cohook changes the defect by 2), so a symbol
+    group is symbcomb.symbols_with_core(kappa, w, e, mode)."""
     groups = {}
-    for sym in symbcomb.enumerate_symbols(rank_n, _DEFECTS[tag]):
-        core, _ = symbcomb.sym_core_quotient(sym, e, mode)
-        groups.setdefault(core, []).append(sym)
+    if tag == "partition":
+        for lam in partcomb.enumerate_partitions(size):
+            groups.setdefault(partcomb.e_core(lam, e), []).append(lam)
+        core_size = sum
+    else:
+        for sym in symbcomb.enumerate_symbols(size, _DEFECTS[tag]):
+            groups.setdefault(symbcomb.sym_core_quotient(sym, e, mode)[0], []).append(sym)
+        core_size = symbcomb.rank
     for core in groups:
-        assert (rank_n - symbcomb.rank(core)) % e == 0
-    return {core: tuple(groups[core]) for core in sorted(groups)}
+        if (size - core_size(core)) % e:
+            raise AssertionError(f"{tag} size {size} less its core {core} "
+                                 f"is not a multiple of {e}")
+    return {core: tuple(sorted(groups[core])) for core in sorted(groups)}
 
 
-def _core_choices(ctx, pc, m, eta_plus):
-    """Admissible kappa values at one divisor."""
+def _component_key(ctx, s, pc):
+    """The _component_table key of the components at pc over s: the
+    partitions of the multiplicity by e_Gamma-core at F1/F2, the symbols of
+    half of it in their defect class at X+-1."""
+    m = s.mult(pc)
     if pc.family != "F0":
-        return [k for k in partcomb.enumerate_e_cores(pc.e_gamma, m)
-                if (m - sum(k)) % pc.e_gamma == 0]
-    return _symbol_table(m // 2, _defect_tag(ctx, pc, eta_plus), ctx.e, ctx.mode).keys()
+        return ("partition", m, pc.e_gamma, None)
+    return (_defect_tag(ctx, pc, s.eta_plus), m // 2, ctx.e, ctx.mode)
 
 
 def weight_of(ctx, block, pc):
-    """The weight w_Gamma determined by the multiplicity and the core."""
-    m = block.s.mult(pc)
-    core = block.core_of(pc)
+    """The weight w_Gamma: the multiplicity less the core's share, in steps
+    of branch_count."""
+    m, core = block.s.mult(pc), block.core_of(pc)
     if pc.family != "F0":
-        if core is None:
-            return 0
-        lhs, step = m - sum(core), pc.e_gamma
-    elif is_x_plus(pc, ctx):
-        core = core if core is not None else LSymbol()
-        lhs, step = m - 2 * symbcomb.rank(core), 2 * ctx.e
+        share = sum(core)
     else:
-        lhs, step = m - 1 - 2 * symbcomb.rank(core), 2 * ctx.e
+        share = 2 * symbcomb.rank(core) + (1 if is_x_minus(pc, ctx) else 0)
+    lhs, step = m - share, branch_count(ctx, pc)
     if lhs < 0 or lhs % step:
         raise ValueError(f"no nonnegative integer weight at {pc}: m={m}, core={core}")
     return lhs // step
@@ -248,7 +254,7 @@ def enumerate_blocks(ctx, n):
     out = []
     for s in enumerate_semisimple(ctx, n):
         choices = [[(pc, core) for core in
-                    _core_choices(ctx, pc, s.mult(pc), s.eta_plus)]
+                    _component_table(*_component_key(ctx, s, pc))]
                    for pc in block_classes(ctx, s)]
         for kappa in product(*choices):
             degenerate = symbcomb.is_degenerate(dict(kappa)[xp])
@@ -271,31 +277,21 @@ class IBrLabel(_Label, namedtuple("IBrLabel", "s lam j j_collapsed")):
         return f"IBrLabel(s={self.s!r}, lam={self.lam}, j={self.j})"
 
 
-@lru_cache(maxsize=None)
-def _partitions_with_core(core, w, e):
-    quots = partcomb.enumerate_tuples(e, w)
-    return tuple(partcomb.from_core_quotient(core, t) for t in quots)
-
-
 def enumerate_ibr(ctx, block):
     """The Brauer-character labels of a block: component cores equal to
     kappa, with the Z/2 index collapsing on degenerate X+1 parts."""
     xp = x_plus_class(ctx)
-    per_class = []
-    for pc, w in block_weights(ctx, block):
-        core = block.core_of(pc)
-        if pc.family != "F0":
-            vals = _partitions_with_core(core, w, pc.e_gamma)
-        else:
-            tag = _defect_tag(ctx, pc, block.s.eta_plus)
-            vals = _symbol_table(block.s.mult(pc) // 2, tag, ctx.e, ctx.mode)[core]
-        per_class.append([(pc, v) for v in vals])
+    per_class = [[(pc, v) for v in
+                  _component_table(*_component_key(ctx, block.s, pc))[core]]
+                 for pc, core in block.kappa]
     out = []
-    core_plus = block.core_of(xp) or LSymbol()
+    core_plus = block.core_of(xp)
     for lam in product(*per_class):
         degenerate = symbcomb.is_degenerate(dict(lam)[xp])
         if not symbcomb.is_degenerate(core_plus):
-            assert not degenerate
+            if degenerate:
+                raise AssertionError(f"degenerate {dict(lam)[xp]} over the "
+                                     f"non-degenerate core {core_plus}")
             indices = ((block.i, False),)
         else:
             indices = _z2_indices(degenerate)
@@ -346,33 +342,25 @@ def enumerate_ibr_universe(ctx, n):
 
 
 @lru_cache(maxsize=None)
-def _symbol_count(rank_n, tag, e, mode, indexed):
-    """The number of rank-n symbols in the defect class `tag`; with indexed,
-    a non-degenerate one counts twice, once per value of the Z/2 index."""
-    return sum(2 if indexed and not symbcomb.is_degenerate(sym) else 1
-               for group in _symbol_table(rank_n, tag, e, mode).values()
-               for sym in group)
-
-
-@lru_cache(maxsize=None)
-def _partition_count(m):
-    return len(partcomb.enumerate_partitions(m))
+def _component_count(key):
+    """The number of Brauer components in _component_table(*key), where a
+    non-degenerate symbol at X+1 (defect 0 or 2 mod 4) counts twice, once
+    per value of the Z/2 index."""
+    members = [v for group in _component_table(*key).values() for v in group]
+    if key[0] not in ("mod4_0", "mod4_2"):
+        return len(members)
+    return sum(len(_z2_indices(symbcomb.is_degenerate(v))) for v in members)
 
 
 def universe_size(ctx, n):
     """len(enumerate_ibr_universe(ctx, n)), counted: over each ell-regular
-    semisimple label, the product of the choices at its divisors, where a
-    non-degenerate symbol at X+1 counts twice.  Nothing is built."""
+    semisimple label, the product of the component counts at its
+    divisors.  Nothing is built."""
     total = 0
     for s in enumerate_semisimple(ctx, n, ell_prime_only=True):
         count = 1
         for pc in block_classes(ctx, s):
-            m = s.mult(pc)
-            if pc.family != "F0":
-                count *= _partition_count(m)
-            else:
-                count *= _symbol_count(m // 2, _defect_tag(ctx, pc, s.eta_plus),
-                                       ctx.e, ctx.mode, is_x_plus(pc, ctx))
+            count *= _component_count(_component_key(ctx, s, pc))
         total += count
     return total
 

@@ -156,7 +156,7 @@ def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
         counted(symbcomb, name)
     ls._core_towers.cache_clear()
     ls._tower_tuples.cache_clear()
-    ls._symbol_table.cache_clear()
+    ls._component_table.cache_clear()
     ls.block_weights.cache_clear()
     bc._field_on_semisimple.cache_clear()
     out = tmp_path / "r.json"

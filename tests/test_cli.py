@@ -225,6 +225,26 @@ def test_verify_preserves_partial_output_on_failure(tmp_path, monkeypatch):
     assert report["summary"]["all_pass"] is False
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_blocks_reports_an_internal_fault_as_failed(tmp_path, monkeypatch, fmt):
+    # a fault while building the block table is a failed report (exit 1),
+    # as in verify, not a usage error; the marker stays JSON under csv
+    from spbaw import labelspace as ls
+
+    def broken(ctx, block):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(ls, "block_weights", broken)
+    out = tmp_path / "blocks.out"
+    code = main(["blocks", "--p", "3", "--f", "1", "--ell", "5", "--n", "1",
+                 "--format", fmt, "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["failed"] == "ValueError: injected"
+    assert report["checks"] == [] and report["blocks"] == []
+    assert report["summary"]["all_pass"] is False
+
+
 def test_sweep_unknown_check_rejected(tmp_path):
     cache = tmp_path / "cache"
     code, out, err = run_cli(["sweep", "--p", "3", "--f", "1", "--ell", "5",
@@ -333,7 +353,8 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 # identity, acts as field(1) inside the action-law check only; the
 # bijection sees a symbol core that is not its block's, so a weight leaves
 # the block it is tabulated for; over F_9, the Frobenius image of every
-# polynomial is X+1, which leaves the family of the class it should move.
+# polynomial is X+1, which leaves the family of the class it should move;
+# every partition has the empty e-core, which leaves a partial e-hook.
 _BREAK_AUDIT = """
 import spbaw.labelspace as ls
 audit_weight_label = ls.audit_weight_label
@@ -363,6 +384,10 @@ _BREAK_FROBENIUS = """
 import spbaw.ffpoly as ff
 ff.frobenius = lambda g, i, ctx: ff.poly_x_plus_one(ctx)
 """
+_BREAK_CORES = """
+import spbaw.partcomb as pcb
+pcb.e_core = lambda lam, e: ()
+"""
 
 
 @pytest.mark.parametrize("inject,broken,f,n",
@@ -370,9 +395,10 @@ ff.frobenius = lambda g, i, ctx: ff.poly_x_plus_one(ctx)
                           (_BREAK_ACTION_LAWS, "action_laws_ok", 1, 1),
                           (_BREAK_FIELD_TWO, "action_laws_ok", 2, 1),
                           (_BREAK_BIJECTION, "CheckFailed", 1, 2),
-                          (_BREAK_FROBENIUS, "AssertionError", 2, 1)],
+                          (_BREAK_FROBENIUS, "AssertionError", 2, 1),
+                          (_BREAK_CORES, "AssertionError", 1, 1)],
                          ids=["audit", "action_laws", "field_two", "bijection",
-                              "frobenius"])
+                              "frobenius", "cores"])
 def test_check_failures_survive_python_O(inject, broken, f, n):
     script = inject + f"""
 import sys

@@ -213,7 +213,7 @@ def test_symbol_table_groups_match_symbols_with_core():
         for e in range(1, 5):
             for mode in (symbcomb.HOOK, symbcomb.COHOOK):
                 for tag in ("odd", "mod4_0", "mod4_2"):
-                    table = ls._symbol_table(rank_n, tag, e, mode)
+                    table = ls._component_table(tag, rank_n, e, mode)
                     for core, syms in table.items():
                         w, rest = divmod(rank_n - symbcomb.rank(core), e)
                         assert rest == 0
@@ -221,6 +221,22 @@ def test_symbol_table_groups_match_symbols_with_core():
                     assert list(table) == sorted(table)
                     groups += len(table)
     assert groups == 606
+
+
+def test_partition_table_groups_match_core_quotient_construction():
+    # the keys are the e-cores that leave whole e-hooks, and each group is
+    # the partitions built from that core and every e-quotient of its weight
+    for e in range(1, 6):
+        for m in range(9):
+            table = ls._component_table("partition", m, e, None)
+            cores = [k for k in partcomb.enumerate_e_cores(e, m)
+                     if (m - sum(k)) % e == 0]
+            assert list(table) == sorted(cores)
+            for core, parts in table.items():
+                w = (m - sum(core)) // e
+                reference = [partcomb.from_core_quotient(core, t)
+                             for t in partcomb.enumerate_tuples(e, w)]
+                assert list(parts) == sorted(reference)
 
 
 def test_radical_shape_and_audit():
