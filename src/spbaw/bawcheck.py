@@ -4,9 +4,9 @@ drivers for the blockwise weight-count equality and equivariance.
 
 The bijection sends a Brauer label (s, lambda, i) to the weight label
 whose ordered-quotient component at each divisor is the core quotient of
-the corresponding lambda component; at X-1 and X+1 the unordered pair is
-flattened to a 2e-sequence using the orientation that reconstructs
-lambda from kappa.  The diagonal automorphism shifts the Z/2 index and
+the corresponding lambda component; at X-1 and X+1 it is the 2e-sequence
+of the two quotient chains, chain 0 first, with the chains swapped at
+X+1 by the Z/2 index.  The diagonal automorphism shifts the Z/2 index and
 swaps the two halves of the X+1 sequence; field automorphisms relabel
 the divisors by the p-power map.
 """
@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import labelspace as ls, partcomb, symbcomb
 from .ffpoly import frobenius_class
 from .labelspace import (BlockLabel, CheckFailed, IBrLabel, WeightLabelQ,
-                         block_classes, check, is_x_minus, is_x_plus)
+                         block_classes, check, is_x_plus)
 
 
 class AutAction(namedtuple("AutAction", "kind power", defaults=(0,))):
@@ -37,24 +37,14 @@ DIAGONAL = AutAction("diagonal")
 # ---------------------------------------------------------------------------
 # the bijection
 
-def _flatten(pair, orient):
-    a, b = pair
-    return a + b if orient % 2 == 0 else b + a
-
-
-def _unflatten(seq):
-    e = len(seq) // 2
-    a, b = seq[:e], seq[e:]
-    pair = tuple(sorted((a, b)))
-    return pair, 0 if (a, b) == pair else 1
-
-
 def brauer_to_weight(ctx, ib):
     """The weight label of a Brauer label inside its own block.  One core
     and quotient extraction per component gives both the block's core and
-    the weight's entry, with the orientation read off the extracted
-    chains; the block follows labelspace.block_of_ibr, and verify_block's
-    round trip checks the reconstruction."""
+    the weight's entry.  At X-1 and X+1 the entry is the chain-0 tuple A,
+    then the chain-1 tuple B, swapped at X+1 when j = 1; a degenerate X+1
+    core gives its chains no absolute order, so the pair is sorted first.
+    The block follows labelspace.block_of_ibr, and verify_block's round
+    trip checks the reconstruction."""
     e, mode = ctx.e, ctx.mode
     kappa, entries = [], []
     i, i_collapsed = 0, True
@@ -66,17 +56,17 @@ def brauer_to_weight(ctx, ib):
             entries.append((pc, quot))
             continue
         core, A, B = symbcomb._extract(lam, e, mode)
-        pair, orient = _unflatten(A + B)
         kappa.append((pc, core))
-        if is_x_minus(pc, ctx):
-            entries.append((pc, _flatten(pair, orient)))
-        elif not symbcomb.is_degenerate(core):
-            i, i_collapsed = ib.j, False
-            entries.append((pc, _flatten(pair, (orient - i) % 2)))
-        else:
-            if symbcomb.is_degenerate(lam) and not symbcomb.is_pair_degenerate(pair):
-                raise CheckFailed(f"{lam}: quotient {pair}")
-            entries.append((pc, _flatten(pair, ib.j)))
+        if is_x_plus(pc, ctx):
+            if not symbcomb.is_degenerate(core):
+                i, i_collapsed = ib.j, False
+            elif symbcomb.is_degenerate(lam) and A != B:
+                raise CheckFailed(f"{lam}: quotient {A}; {B}")
+            else:
+                A, B = sorted((A, B))
+            if ib.j:
+                A, B = B, A
+        entries.append((pc, A + B))
     block = BlockLabel(s=ib.s, kappa=tuple(kappa), i=i, i_collapsed=i_collapsed)
     return WeightLabelQ(block=block, q=tuple(entries))
 
@@ -99,21 +89,19 @@ def weight_to_brauer(ctx, wq):
         if pc.family != "F0":
             entries.append((pc, partcomb.from_core_quotient(kappa, q)))
             continue
-        pair, orient = _unflatten(q)
-        if is_x_minus(pc, ctx):
-            entries.append((pc, symbcomb.star_plain(kappa, pair, orient, e, mode)))
-        elif not symbcomb.is_degenerate(kappa):
-            lam = symbcomb.star_oriented(kappa, block.i, pair, orient, e, mode)
-            entries.append((pc, lam))
-        else:
-            lam = symbcomb.star_plain(kappa, pair, 0, e, mode)
-            entries.append((pc, lam))
-            if symbcomb.is_degenerate(lam):
-                if orient != 0:
-                    raise CheckFailed(f"degenerate {lam} carries orientation {orient}")
-                j, j_collapsed = 0, True
-            else:
-                j, j_collapsed = orient, False
+        A, B = q[:e], q[e:]
+        degenerate = is_x_plus(pc, ctx) and symbcomb.is_degenerate(kappa)
+        if degenerate:
+            j = int(A > B)
+            A, B = sorted((A, B))
+        elif is_x_plus(pc, ctx) and block.i:
+            A, B = B, A
+        lam = symbcomb._attach(kappa, A, B, e, mode)
+        entries.append((pc, lam))
+        if degenerate and symbcomb.is_degenerate(lam):
+            if j:
+                raise CheckFailed(f"degenerate {lam} carries j = {j}")
+            j_collapsed = True
     return IBrLabel(s=block.s, lam=tuple(entries), j=j, j_collapsed=j_collapsed)
 
 

@@ -36,8 +36,11 @@ def _work_bound(p, f, n, work_limit):
     """The size bound q^(2n+1) when it is at most work_limit, else None: the
     one work-cost model, for the work limit and for balancing a sweep's
     shards.  For p >= 2, q^(2n+1) >= 2^(f(2n+1)), so a bound of f(2n+1)
-    bits or more exceeds the limit and is never built."""
-    if p >= 2 and f * (2 * n + 1) >= work_limit.bit_length():
+    bits or more exceeds the limit and is never built.  A p below 2 takes
+    no power and gets bound 0, so that make_context names the error."""
+    if p < 2:
+        return 0
+    if f * (2 * n + 1) >= work_limit.bit_length():
         return None
     bound = (p ** f) ** (2 * n + 1)
     return bound if bound <= work_limit else None

@@ -18,8 +18,8 @@ partition per track.  Track labels are only canonical relative to the
 core's reduced frame: un-shifting by one bead rotates the runner index
 and (for cohooks, when the runner wraps) flips the chain, so extraction
 pulls the labels back by the observed shift before assembling the
-quotient pair.  The pair [A; B] of e-tuples is unordered; orientation 0
-attaches the canonically smaller tuple to chain 0.
+quotient pair [A; B] of e-tuples, A on chain 0; star_plain's
+orientation 0 attaches the canonically smaller tuple to chain 0.
 
 Reconstruction inverts extraction directly.  Shifting the core by a
 multiple of 2e beads moves every runner round an even number of times, so
@@ -209,14 +209,6 @@ def star_plain(core, pair, orient, e, mode):
     if orient % 2:
         A, B = B, A
     return _attach(core, A, B, e, mode)
-
-
-def star_oriented(core, core_orient, pair, pair_orient, e, mode):
-    """(kappa, i) * (Q, j); defined for non-degenerate even-defect cores and
-    depending only on i + j mod 2."""
-    assert not is_degenerate(core), "oriented star needs a non-degenerate core"
-    assert defect(core) % 2 == 0
-    return star_plain(core, pair, (core_orient + pair_orient) % 2, e, mode)
 
 
 def enumerate_quotient_pairs(e, w):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from spbaw import bawcheck as bc, labelspace as ls, symbcomb
@@ -281,6 +283,44 @@ def test_weight_to_brauer_rejects_malformed_labels():
     bad = ls.WeightLabelQ(block=b, q=bad_q)
     with pytest.raises((AssertionError, ValueError)):
         bc.weight_to_brauer(CTX35, bad)
+
+
+def test_degenerate_part_with_unequal_chains_is_rejected(monkeypatch):
+    # a degenerate X+1 part extracts as two equal chains; made unequal,
+    # they name no weight
+    xp = ls.x_plus_class(CTX35)
+    ib = next(ib for ib in all_ibrs(CTX35, 2)
+              if ib.part_of(xp) == symbcomb.LSymbol((1,), (1,)))
+    extract = symbcomb._extract
+
+    def unequal(sym, e, mode):
+        core, A, B = extract(sym, e, mode)
+        return core, A, tuple(p + (1,) for p in B)
+
+    monkeypatch.setattr(symbcomb, "_extract", unequal)
+    with pytest.raises(ls.CheckFailed, match="quotient"):
+        bc.brauer_to_weight(CTX35, ib)
+
+
+def test_degenerate_reconstruction_with_index_one_is_rejected(monkeypatch):
+    # over a degenerate X+1 core, halves in decreasing order carry j = 1;
+    # a degenerate symbol built from them would carry it too
+    xp = ls.x_plus_class(CTX35)
+    e = CTX35.e
+    wq = next(w for b in ls.enumerate_blocks(CTX35, 2)
+              if symbcomb.is_degenerate(b.core_of(xp))
+              for w in ls.enumerate_weights_q(CTX35, b)
+              if w.q_of(xp)[:e] > w.q_of(xp)[e:])
+    monkeypatch.setattr(symbcomb, "_attach", lambda core, A, B, e, mode: core)
+    with pytest.raises(ls.CheckFailed, match="carries"):
+        bc.weight_to_brauer(CTX35, wq)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_degeneracy_transport():

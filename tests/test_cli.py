@@ -124,6 +124,17 @@ def test_huge_rank_is_refused_by_the_work_limit(command):
     assert "Traceback" not in err and out == ""
 
 
+def test_negative_p_is_refused_without_building_the_bound():
+    # (-3)^(2n+1) has about 95 million digits: the bound is not taken, and
+    # make_context names the error
+    proc = subprocess.run([sys.executable, "-m", "spbaw.cli", "verify",
+                           "--p", "-3", "--ell", "5", "--n", "100000000"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "p = -3 must be an odd prime" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_unknown_check_rejected():
     code, out, err = run_cli(["verify", "--p", "3", "--f", "1", "--ell", "5",
                               "--n", "1", "--checks", "bogus"])
@@ -426,13 +437,18 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
         assert summary["action_laws_ok"] is False
 
 
-# Every X-1 and X+1 entry flattened the other way round: the map stays a
-# bijection onto the block's weights, so only the round trip through
-# weight_to_brauer can see the fault.
+# Every X-1 and X+1 entry built with its two chains the other way round:
+# the map stays a bijection onto the block's weights, so only the round
+# trip through weight_to_brauer can see the fault.
 _FLIP_ORIENTATION = """
-import spbaw.bawcheck as bc
-flatten = bc._flatten
-bc._flatten = lambda pair, orient: flatten(pair, orient + 1)
+import sys
+import spbaw.symbcomb as sc
+extract = sc._extract
+def flipped(sym, e, mode):
+    core, A, B = extract(sym, e, mode)
+    caller = sys._getframe(1).f_code.co_name
+    return (core, B, A) if caller == "brauer_to_weight" else (core, A, B)
+sc._extract = flipped
 """
 
 

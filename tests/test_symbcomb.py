@@ -297,21 +297,6 @@ def test_star_plain_and_oriented():
         sc.star_plain(core, deg_pair, 1, 2, COHOOK)
 
 
-def test_star_oriented_depends_on_sum():
-    core = LSymbol((1,), (0,))
-    assert not sc.is_degenerate(core) and sc.defect(core) % 2 == 0
-    pair = (((), ()), ((1,), ()))
-    for mode in (HOOK, COHOOK):
-        if sc.sym_core_quotient(core, 2, mode)[0] != core:
-            continue
-        a = sc.star_oriented(core, 0, pair, 1, 2, mode)
-        b = sc.star_oriented(core, 1, pair, 0, 2, mode)
-        c = sc.star_oriented(core, 0, pair, 0, 2, mode)
-        assert a == b and a != c
-    with pytest.raises(AssertionError):
-        sc.star_oriented(LSymbol((1,), (1,)), 0, pair, 0, 2, HOOK)
-
-
 def test_removal_order_independence():
     rng = random.Random(16)
     for mode in (HOOK, COHOOK):
