@@ -169,10 +169,16 @@ def _report_csv(report):
 
 def _emit(text, out):
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        # One temporary name per writer: sweeps sharing a cache directory
+        # may write the same point at once.
+        tmp = f"{out}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        finally:
+            if os.path.exists(tmp):   # the write or the rename raised
+                os.remove(tmp)
     else:
         sys.stdout.write(text)
 

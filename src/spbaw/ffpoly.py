@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .fieldctx import order_mod
+from .gf import prime_divisors
 
 
 def poly_x_minus_one(ctx):
@@ -118,7 +119,7 @@ def is_irreducible(g, ctx):
     x = (0, 1) + (0,) * (d - 2)
     if powers[d] != x:
         return False
-    for r in _prime_divisors(d):
+    for r in prime_divisors(d):
         diff = poly_trim(tuple(gf.sub(a, b) for a, b in zip(powers[d // r], x)))
         if poly_gcd(diff, g, gf) != (1,):
             return False
@@ -134,19 +135,6 @@ def _apply(rows, vec, gf):
                 if r:
                     out[j] = gf.add(out[j], gf.mul(a, r))
     return tuple(out)
-
-
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def enumerate_irreducibles(ctx, maxdeg):

@@ -7,19 +7,21 @@ ell divides q^e - 1 (linear, +1) or q^e + 1 (unitary, -1).
 
 from collections import namedtuple
 
-from .gf import get_field, is_prime
+from .gf import get_field, is_prime, prime_divisors
 
 
 def order_mod(a, m):
-    """Minimal k >= 1 with a^k = 1 mod m (m prime, a invertible mod m)."""
+    """Minimal k >= 1 with a^k = 1 mod m (m prime, a invertible mod m).
+    k divides m - 1, so k starts there and each prime factor r of m - 1
+    is divided out while a^(k/r) = 1 still holds."""
     assert is_prime(m), f"modulus {m} is not prime"
     a %= m
     if a == 0:
         raise ValueError("a must be invertible modulo m")
-    k, x = 1, a
-    while x != 1:
-        x = (x * a) % m
-        k += 1
+    k = m - 1
+    for r in prime_divisors(k):
+        while k % r == 0 and pow(a, k // r, m) == 1:
+            k //= r
     return k
 
 

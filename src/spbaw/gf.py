@@ -9,20 +9,23 @@ F_p[t]/(m(t)) with m the canonical modulus below.
 from functools import lru_cache
 
 
-def is_prime(n):
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def prime_divisors(n):
+    """The distinct prime divisors of n >= 1, increasing, by trial division
+    (desk-scale inputs); a generator, so is_prime stops at the first."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n
+
+
+def is_prime(n):
+    """Trial division, stopping at the smallest prime divisor."""
+    return n >= 2 and next(prime_divisors(n)) == n
 
 
 def _fp_poly_mul(a, b, p):

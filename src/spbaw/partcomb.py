@@ -29,12 +29,16 @@ def partition_of_beta(beta):
     return tuple(a for a in parts if a > 0)
 
 
-def _runner_heights(beta, e):
-    """Heights per runner: runner r holds {x // e : x in beta, x % e == r}."""
-    runners = [[] for _ in range(e)]
-    for x in beta:
-        runners[x % e].append(x // e)
-    return [tuple(sorted(h, reverse=True)) for h in runners]
+def abacus(rows, e, zigzag=False):
+    """Bead heights of an e-runner abacus per track (runner, side), for the
+    tracks that hold beads, highest first: bead x of row i sits at height
+    x // e on runner x % e, side i, or side (x // e + i) % 2 when zigzag."""
+    tracks = {}
+    for i, row in enumerate(rows):
+        for x in row:
+            r, h = x % e, x // e
+            tracks.setdefault((r, (h + i) % 2 if zigzag else i), []).append(h)
+    return {k: tuple(sorted(v, reverse=True)) for k, v in tracks.items()}
 
 
 @lru_cache(maxsize=None)
@@ -42,10 +46,9 @@ def e_core_quotient(p, e):
     """The e-core and ordered e-quotient of p (single-runner abacus form)."""
     assert e >= 1
     length = -(-max(len(p), 1) // e) * e
-    beta = beta_set(p, length)
-    runners = _runner_heights(beta, e)
-    quotient = tuple(partition_of_beta(h) for h in runners)
-    core_beta = [e * j + r for r, h in enumerate(runners) for j in range(len(h))]
+    runners = abacus((beta_set(p, length),), e)
+    quotient = tuple(partition_of_beta(runners.get((r, 0), ())) for r in range(e))
+    core_beta = [e * j + r for (r, _), h in runners.items() for j in range(len(h))]
     core = partition_of_beta(core_beta)
     return core, quotient
 
@@ -69,10 +72,10 @@ def from_core_quotient(core, quotient):
     if not is_e_core(core, e):
         raise ValueError(f"{core} is not a {e}-core")
     t = len(core) + max((len(q) for q in quotient), default=0) + 1
-    beta = beta_set(core, e * t)
-    runners = _runner_heights(beta, e)
+    runners = abacus((beta_set(core, e * t),), e)
     new_beta = []
-    for r, heights in enumerate(runners):
+    for r in range(e):
+        heights = runners.get((r, 0), ())
         k = len(heights)
         assert heights == tuple(range(k - 1, -1, -1)), "core runners must be packed"
         q = quotient[r]
@@ -156,21 +159,23 @@ def enumerate_e_cores(e, max_size):
 def weighted_tuples(k, w, items_of):
     """Every ordered k-tuple (x_1, ..., x_k), x_i drawn from items_of(w_i),
     with w_1 + ... + w_k = w.  Slot weights run from w down to 0, the last
-    slot taking the rest."""
+    slot taking the rest.  A depth-first walk on an explicit stack, so no
+    frame per slot; once the weight is spent the remaining slots are one
+    product over items_of(0)."""
     assert k >= 0 and w >= 0
-    if k == 0:
-        return [()] if w == 0 else []
+    items = [tuple(items_of(s)) for s in range(w + 1)]
     out = []
-
-    def rec(slot, rest, prefix):
-        if slot == k - 1:
-            out.extend(prefix + (x,) for x in items_of(rest))
-            return
-        for s in range(rest, -1, -1):
-            for x in items_of(s):
-                rec(slot + 1, rest - s, prefix + (x,))
-
-    rec(0, w, ())
+    stack = [((), w)]
+    while stack:
+        prefix, rest = stack.pop()
+        slot = len(prefix)
+        if rest == 0:
+            out.extend(prefix + tail for tail in product(items[0], repeat=k - slot))
+        elif slot == k - 1:
+            out.extend(prefix + (x,) for x in items[rest])
+        elif slot < k - 1:
+            stack.extend(reversed([(prefix + (x,), rest - s)
+                                   for s in range(rest, -1, -1) for x in items[s]]))
     return out
 
 

@@ -14,12 +14,18 @@ r = x % e of row i, and
          OTHER row, which is one height step down the same zigzag chain.
 
 The core packs every track to the bottom; the quotient records one
-partition per track.  Track labels are only canonical relative to the
-core's reduced frame: un-shifting by one bead rotates the runner index
-and (for cohooks, when the runner wraps) flips the chain, so extraction
-pulls the labels back by the observed shift before assembling the
-quotient pair [A; B] of e-tuples, A on chain 0; star_plain's
-orientation 0 attaches the canonically smaller tuple to chain 0.
+partition per track.  The abacus (partcomb.abacus) lists only the tracks
+that hold beads, and an empty track is the empty partition, so extraction
+converts as many tracks as the symbol has beads, whatever e; the shift
+reduction reads the common run 0..u-1 at the tails of both rows in one
+pass.
+
+Track labels are only canonical relative to the core's reduced frame:
+un-shifting by one bead rotates the runner index and (for cohooks, when
+the runner wraps) flips the chain, so extraction pulls the labels back by
+the observed shift before assembling the quotient pair [A; B] of
+e-tuples, A on chain 0; star_plain's orientation 0 attaches the
+canonically smaller tuple to chain 0.
 
 Reconstruction inverts extraction directly.  Shifting the core by a
 multiple of 2e beads moves every runner round an even number of times, so
@@ -31,21 +37,20 @@ products of components, so the same symbol recurs in many labels.
 
 from functools import lru_cache
 
-from .partcomb import (beta_set, enumerate_tuples, partition_of_beta)
+from .partcomb import abacus, beta_set, enumerate_tuples, partition_of_beta
 
 HOOK = "hook"
 COHOOK = "cohook"
 
 
 def _reduce_rows(row_a, row_b):
-    """Shift-reduce; returns (rows, unshift_count)."""
-    a, b = list(row_a), list(row_b)
+    """Shift-reduce decreasing rows in one pass: the unshift count u is the
+    length of the run 0, 1, ..., u - 1 that ends both rows; returns
+    (rows, u)."""
     u = 0
-    while a and b and a[-1] == 0 and b[-1] == 0:
-        a = [x - 1 for x in a[:-1]]
-        b = [x - 1 for x in b[:-1]]
+    while u < min(len(row_a), len(row_b)) and row_a[-1 - u] == u == row_b[-1 - u]:
         u += 1
-    return (tuple(a), tuple(b)), u
+    return tuple(tuple(x - u for x in row[:len(row) - u]) for row in (row_a, row_b)), u
 
 
 class LSymbol:
@@ -96,17 +101,6 @@ def shift_rows(rows, t):
                  for row in rows)
 
 
-def _tracks(rows, e, mode):
-    """Track heights keyed by (runner, side)."""
-    tr = {(r, s): [] for r in range(e) for s in (0, 1)}
-    for i, row in enumerate(rows):
-        for x in row:
-            r, h = x % e, x // e
-            side = i if mode == HOOK else (h + i) % 2
-            tr[(r, side)].append(h)
-    return {k: tuple(sorted(v, reverse=True)) for k, v in tr.items()}
-
-
 def _untracks(tr, e, mode):
     rows = ([], [])
     for (r, side), heights in tr.items():
@@ -129,7 +123,7 @@ def _pullback(r, side, u, e, mode):
 def _extract(sym, e, mode):
     """(core, A, B): quotient tuples in absolute chain order (A = chain 0)."""
     rows = sym.rows
-    tr = _tracks(rows, e, mode)
+    tr = abacus(rows, e, zigzag=mode == COHOOK)
     quot = {k: partition_of_beta(v) for k, v in tr.items()}
     packed = {k: tuple(range(len(v) - 1, -1, -1)) for k, v in tr.items()}
     core_raw = _untracks(packed, e, mode)
@@ -168,7 +162,7 @@ def _attach(core, first, second, e, mode):
     carrying `second`; re-extracted before it is returned."""
     assert mode in (HOOK, COHOOK)
     needed = max(map(len, first + second), default=0)
-    tr = _tracks(shift_rows(core.rows, 2 * e * (needed + 1)), e, mode)
+    tr = abacus(shift_rows(core.rows, 2 * e * (needed + 1)), e, zigzag=mode == COHOOK)
     quot = {(r, side): p for side, tup in enumerate((first, second))
             for r, p in enumerate(tup)}
     new = {key: beta_set(quot.get(key, ()), len(heights))

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from spbaw import __version__
+from spbaw import __version__, cli
 from spbaw.cli import main
 from spbaw.labelspace import CheckFailed
+from test_lregular_count import ell_regular_counts
 
 
 def run_cli(args):
@@ -676,3 +677,61 @@ print(" ".join(sorted(set(sys.modules) - before)))
     for name in ("multiprocessing", "concurrent.futures", "pickle", "subprocess",
                  "spbaw.sweep"):
         assert name not in new, name
+
+
+def test_loaded_modules_are_standard_library_only():
+    # the modules the package loads, beyond what interpreter start-up loaded
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+before = set(sys.modules)
+import spbaw.cli, spbaw.sweep
+spbaw.cli.main(["verify", "--p", "3", "--ell", "5", "--n", "1", "--out", {os.devnull!r}])
+print(" ".join(sorted(set(sys.modules) - before)))
+print(" ".join(sorted(sys.stdlib_module_names)))
+"""
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", script],
+                          capture_output=True, text=True, check=True)
+    loaded, stdlib = (line.split() for line in proc.stdout.splitlines())
+    assert "spbaw.labelspace" in loaded
+    outside = {name.split(".")[0] for name in loaded} - set(stdlib) - {"spbaw"}
+    assert not outside, sorted(outside)
+
+
+@pytest.mark.parametrize("n,total", [(1, 7), (2, 34)])
+def test_verify_at_a_large_ell(tmp_path, n, total):
+    # e = 506: a weight label has 1012 slots at X+-1, more than the default
+    # recursion limit would allow one frame each
+    assert sys.getrecursionlimit() <= 1000
+    out = tmp_path / "r.json"
+    assert main(["verify", "--p", "3", "--ell", "1013", "--n", str(n),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["context"]["e"] == 506
+    summary = report["summary"]
+    assert summary["total_ibr"] == summary["universe_size"] == total
+    assert ell_regular_counts(3, 1013, n)[n] == total
+
+
+def test_output_goes_through_a_temporary_file_of_its_own(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    other = cache / "p3_f1_ell5_n1_counts.json.tmp"
+    other.write_text("another writer's report")
+    args = ["sweep", "--p", "3", "--ell", "5", "--n", "1,2", "--checks", "counts",
+            "--cache-dir", str(cache), "--out", str(tmp_path / "s.json")]
+    assert main(args + ["--jobs", "2"]) == 0
+    assert other.read_text() == "another writer's report"
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == [other.name]
+    assert (cache / "p3_f1_ell5_n1_counts.json").exists()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    # a write that raises leaves no temporary file behind
+    monkeypatch.setattr(os, "replace", fail)
+    out = tmp_path / "v.json"
+    with pytest.raises(OSError, match="replace failed"):
+        cli._emit("text", str(out))
+    assert not out.exists()
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == [other.name]

@@ -1,26 +1,57 @@
+from math import prod
+
 import pytest
 
 from spbaw.fieldctx import make_context, order_mod
+from spbaw.gf import is_prime, prime_divisors
 
 
 def test_order_mod_identity():
     assert order_mod(1, 7) == 1
 
 
-def test_order_mod_by_repeated_multiplication():
+def oracle(a, m):
     # independent oracle: scan powers directly
-    def oracle(a, m):
-        x, k = a % m, 1
-        while x != 1:
-            x = x * a % m
-            k += 1
-        return k
+    x, k = a % m, 1
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
 
+
+def test_order_mod_by_repeated_multiplication():
     assert order_mod(4, 5) == 2 == oracle(4, 5)
     assert order_mod(9, 13) == 3 == oracle(9, 13)
-    for m in (3, 5, 7, 11, 13):
+    primes = [m for m in range(200) if is_prime(m)]
+    assert len(primes) == 46
+    for m in primes:
         for a in range(1, m):
-            assert order_mod(a, m) == oracle(a, m)
+            assert order_mod(a, m) == oracle(a, m), (a, m)
+
+
+# 10^12 + 38 = 2 * 3 * 13 * 17 * 29 * 26005097
+LARGE_PRIME, FACTORS = 10 ** 12 + 39, (2, 3, 13, 17, 29, 26005097)
+
+
+@pytest.mark.parametrize("a", [2, 3, 9, 10 ** 6 + 3, 10 ** 12 + 38])
+def test_order_mod_is_certified_on_a_large_prime(a):
+    # too large for the oracle: a^k = 1, and no a^(k/r) = 1 for a prime r | k
+    m = LARGE_PRIME
+    k = order_mod(a, m)
+    assert (m - 1) % k == 0 and pow(a, k, m) == 1
+    for r in FACTORS:
+        if k % r == 0:
+            assert pow(a, k // r, m) != 1, r
+
+
+def test_prime_divisors_and_is_prime():
+    assert list(prime_divisors(1)) == []
+    assert list(prime_divisors(360)) == [2, 3, 5]
+    assert list(prime_divisors(LARGE_PRIME - 1)) == list(FACTORS)
+    assert prod(FACTORS) == LARGE_PRIME - 1
+    assert is_prime(LARGE_PRIME) and all(is_prime(r) for r in FACTORS)
+    assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17,
+                                                         19, 23, 29]
 
 
 def test_order_mod_rejects_zero():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -167,3 +168,32 @@ def test_memoized_kernels_equal_their_uncached_bodies():
     for _ in range(2):
         with pytest.raises(ValueError):
             pc.from_core_quotient((2,), ((), (1,)))
+
+
+def test_abacus_lists_only_the_tracks_that_hold_beads():
+    assert pc.abacus(((5, 2, 0),), 3) == {(2, 0): (1, 0), (0, 0): (0,)}
+    # zigzag: bead x of row i is on side (x // e + i) % 2
+    assert pc.abacus(((3,), (1,)), 2, zigzag=True) == {(1, 1): (1, 0)}
+    assert pc.abacus(((7, 0), ()), 10 ** 6) == {(7, 0): (0,), (0, 0): (0,)}
+
+
+def test_weighted_tuples_take_no_frame_per_slot():
+    # one slot per frame would exceed the default recursion limit here
+    tuples = pc.enumerate_tuples(1500, 1)
+    assert tuples == [((),) * i + ((1,),) + ((),) * (1499 - i) for i in range(1500)]
+    assert pc.enumerate_tuples(20000, 0) == [((),) * 20000]
+    assert pc.enumerate_tuples(0, 0) == [()] and pc.enumerate_tuples(0, 2) == []
+
+
+def test_weighted_tuples_order():
+    # slot weights run from w down to 0, and each slot takes its items in
+    # the order items_of gives them
+    items = {0: ["y", "z"], 1: ["a", "b"], 2: ["c"], 3: []}
+    choices = [(s, i) for s in items for i in range(len(items[s]))]
+    for k in range(4):
+        for w in range(4):
+            chosen = sorted((c for c in product(choices, repeat=k)
+                             if sum(s for s, _ in c) == w),
+                            key=lambda c: [(-s, i) for s, i in c])
+            assert pc.weighted_tuples(k, w, items.__getitem__) == [
+                tuple(items[s][i] for s, i in c) for c in chosen]

@@ -329,3 +329,28 @@ def test_attach_rejects_a_non_core_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError):
             sc._attach(LSymbol((1,), ()), ((),), ((),), 1, HOOK)
+
+
+def test_reduce_rows_matches_one_unshift_at_a_time():
+    def stepwise(a, b):
+        a, b, u = list(a), list(b), 0
+        while a and b and a[-1] == 0 and b[-1] == 0:
+            a, b, u = [x - 1 for x in a[:-1]], [x - 1 for x in b[:-1]], u + 1
+        return (tuple(a), tuple(b)), u
+
+    rng = random.Random(5)
+    for _ in range(2000):
+        a, b = (tuple(sorted(rng.sample(range(8), rng.randrange(7)), reverse=True))
+                for _ in range(2))
+        assert sc._reduce_rows(a, b) == stepwise(a, b)
+    assert sc._reduce_rows((5, 2, 1, 0), (3, 1, 0)) == (((3, 0), (1,)), 2)
+
+
+def test_extraction_of_a_small_symbol_at_large_e():
+    # only the tracks that hold beads are converted; the rest are empty
+    e = 50003
+    sym = LSymbol((2, 0), (1,))
+    for mode in (HOOK, COHOOK):
+        core, A, B = sc._extract(sym, e, mode)
+        assert core == sym and len(A) == len(B) == e
+        assert set(A) == set(B) == {()}
