@@ -679,20 +679,25 @@ print(" ".join(sorted(set(sys.modules) - before)))
         assert name not in new, name
 
 
-def test_loaded_modules_are_standard_library_only():
+def test_loaded_modules_are_standard_library_only(tmp_path):
     # the modules the package loads, beyond what interpreter start-up loaded
+    out = tmp_path / "r.json"
     script = f"""
 import sys
 sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
 before = set(sys.modules)
 import spbaw.cli, spbaw.sweep
-spbaw.cli.main(["verify", "--p", "3", "--ell", "5", "--n", "1", "--out", {os.devnull!r}])
+code = spbaw.cli.main(["verify", "--p", "3", "--ell", "5", "--n", "1", "--out", {str(out)!r}])
+print(code)
 print(" ".join(sorted(set(sys.modules) - before)))
 print(" ".join(sorted(sys.stdlib_module_names)))
 """
     proc = subprocess.run([sys.executable, "-I", "-B", "-c", script],
                           capture_output=True, text=True, check=True)
-    loaded, stdlib = (line.split() for line in proc.stdout.splitlines())
+    code, loaded, stdlib = proc.stdout.splitlines()
+    loaded, stdlib = loaded.split(), stdlib.split()
+    assert code == "0"
+    assert json.loads(out.read_text())["summary"]["all_pass"]
     assert "spbaw.labelspace" in loaded
     outside = {name.split(".")[0] for name in loaded} - set(stdlib) - {"spbaw"}
     assert not outside, sorted(outside)

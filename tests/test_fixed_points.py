@@ -21,7 +21,7 @@ from math import gcd
 
 import pytest
 
-from spbaw import bawcheck as bc, labelspace as ls
+from spbaw import bawcheck as bc, cli, labelspace as ls
 from spbaw.fieldctx import make_context
 from test_lregular_count import (ell_regular_counts, m_prime,
                                  times_inverse_one_minus, times_one_plus)
@@ -54,7 +54,7 @@ def fixed_labels(ctx, n, action):
 
 
 def admitted(p, f, ell, n):
-    return ell != p and (p ** f) ** (2 * n + 1) <= 10 ** 7
+    return ell != p and cli._work_bound(p, f, n, cli.DEFAULT_WORK_LIMIT) is not None
 
 
 FIELD_GRID = [(p, f, ell, n) for p, f in ((3, 2), (5, 2), (7, 2), (3, 3), (3, 4))
