@@ -168,19 +168,28 @@ def _report_csv(report):
 
 
 def _emit(text, out):
-    if out:
-        # One temporary name per writer: sweeps sharing a cache directory
-        # may write the same point at once.
-        tmp = f"{out}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, out)
-        finally:
-            if os.path.exists(tmp):   # the write or the rename raised
-                os.remove(tmp)
-    else:
+    """Write text to out, or to stdout when out is empty.  A new path or a
+    regular file is replaced through a temporary file; the rename goes onto
+    the path a symlink resolves to, so the link survives.  A FIFO or a
+    device is written in place, never replaced."""
+    if not out:
         sys.stdout.write(text)
+        return
+    out = os.path.realpath(out)
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w") as fh:
+            fh.write(text)
+        return
+    # One temporary name per writer: sweeps sharing a cache directory
+    # may write the same point at once.
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):   # the write or the rename raised
+            os.remove(tmp)
 
 
 def _report_or_failure(ctx, n, checks):

@@ -11,18 +11,20 @@ star(g) is the monic polynomial whose roots are the inverses of the roots
 of g; frobenius(g, i) the one whose roots are the p^i-th powers, which is
 g with its coefficients raised to the p^i.
 
-The class table takes its irreducibles from one product sieve per degree,
-shared by every ell and rank over F_q.  Rabin's test (is_irreducible)
-serves classify and the brute-force reference enumerate_irreducibles.
+The arithmetic in F_q[X] (product, remainder, powers, gcd) and the
+product sieve of monic irreducibles per degree come from gf, shared by
+every ell and rank over F_q; this module keeps the classes, the class
+table and Rabin's test (is_irreducible), which serves classify and the
+brute-force reference enumerate_irreducibles.
 """
 
 import json
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
 
 from .fieldctx import order_mod
-from .gf import prime_divisors
+from .gf import (_irreducibles_of_degree, poly_deg, poly_gcd, poly_monic,
+                 poly_mul, poly_powmod, poly_rem, poly_trim, prime_divisors)
 
 
 def poly_x_minus_one(ctx):
@@ -31,66 +33,6 @@ def poly_x_minus_one(ctx):
 
 def poly_x_plus_one(ctx):
     return (1, 1)
-
-
-def poly_deg(g):
-    return len(g) - 1
-
-
-def poly_trim(coeffs):
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_mul(a, b, gf):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = gf.add(out[i + j], gf.mul(ai, bj))
-    return poly_trim(out)
-
-
-def poly_rem(a, m, gf):
-    """Remainder of a modulo monic m."""
-    assert m[-1] == 1
-    a = list(a)
-    dm = poly_deg(m)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = gf.sub(a[i - dm + j], gf.mul(c, m[j]))
-    return poly_trim(a[:dm] if dm else (0,))
-
-
-def poly_powmod(base, n, m, gf):
-    out = (1,)
-    base = poly_rem(base, m, gf)
-    while n:
-        if n & 1:
-            out = poly_rem(poly_mul(out, base, gf), m, gf)
-        base = poly_rem(poly_mul(base, base, gf), m, gf)
-        n >>= 1
-    return out
-
-
-def poly_monic(g, gf):
-    lead = g[-1]
-    if lead == 1:
-        return g
-    inv = gf.inv(lead)
-    return tuple(gf.mul(c, inv) for c in g)
-
-
-def poly_gcd(a, b, gf):
-    a, b = poly_trim(a), poly_trim(b)
-    while b != (0,):
-        a, b = b, poly_rem(a, poly_monic(b, gf), gf)
-    return poly_monic(a, gf) if a != (0,) else a
 
 
 def is_irreducible(g, ctx):
@@ -173,7 +115,7 @@ def _split_f2(g, ctx):
     star pair)."""
     d = poly_deg(g)
     assert d % 2 == 0 and d >= 2
-    for cand in _irreducibles_of_degree(ctx, d // 2):
+    for cand in _irreducibles_of_degree(ctx.gf, d // 2):
         if cand[0] and poly_rem(g, cand, ctx.gf) == (0,):
             st = star(cand, ctx)
             if st != cand and poly_mul(cand, st, ctx.gf) == g:
@@ -293,22 +235,7 @@ def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
     return tuple(sorted(classes))
 
 
-_IRREDUCIBLES = {}   # (p, f, d) -> _irreducibles_of_degree(ctx, d)
 _FACTORS = {}        # (p, f, d) -> _factors_of_degree(ctx, d)
-
-
-def _irreducibles_of_degree(ctx, d):
-    """The monic irreducibles of degree d in coefficient order, by a sieve:
-    a monic polynomial is reducible iff it is a b with a a monic irreducible
-    of degree i <= d/2 (from this table) and b monic of degree d - i."""
-    key = ctx.p, ctx.f, d
-    if key not in _IRREDUCIBLES:
-        reducible = {poly_mul(a, c + (1,), ctx.gf) for i in range(1, d // 2 + 1)
-                     for a in _irreducibles_of_degree(ctx, i)
-                     for c in product(range(ctx.q), repeat=d - i)}
-        _IRREDUCIBLES[key] = tuple(h for h in (c + (1,) for c in product(range(ctx.q), repeat=d))
-                                   if h not in reducible)
-    return _IRREDUCIBLES[key]
 
 
 def _factors_of_degree(ctx, d):
@@ -318,7 +245,7 @@ def _factors_of_degree(ctx, d):
     key = ctx.p, ctx.f, d
     if key not in _FACTORS:
         found = []
-        for h in _irreducibles_of_degree(ctx, d):
+        for h in _irreducibles_of_degree(ctx.gf, d):
             if _reciprocal_stays_irreducible(h, ctx):
                 found.append(_reciprocal_transform(h, ctx))
             # X has no star; X+-1 and the other self-star ones are not F2

@@ -1,12 +1,19 @@
-"""Exact arithmetic in the finite field F_q, q = p^f.
+"""Exact arithmetic in the finite field F_q, q = p^f, and in F_q[X].
 
 Elements are encoded as integers in [0, q): the element with coordinate
 vector (c_0, ..., c_{f-1}) over F_p is c_0 + c_1*p + ... + c_{f-1}*p^(f-1).
 For f = 1 this is plain modular arithmetic; for f >= 2 the field is
-F_p[t]/(m(t)) with m the canonical modulus below.
+F_p[t]/(m(t)) with m the smallest monic irreducible of degree f over F_p
+by the integer encoding of its coefficients.
+
+A polynomial over a field is a tuple of encoded coefficients, constant
+term first.  The product, remainder and irreducible sieve here serve both
+the construction of F_(p^f) over F_p and the class table over F_q.  This
+is the bottom layer: it imports nothing from the package.
 """
 
 from functools import lru_cache
+from itertools import product
 
 
 def prime_divisors(n):
@@ -28,52 +35,82 @@ def is_prime(n):
     return n >= 2 and next(prime_divisors(n)) == n
 
 
-def _fp_poly_mul(a, b, p):
+def poly_deg(g):
+    return len(g) - 1
+
+
+def poly_trim(coeffs):
+    c = list(coeffs)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_mul(a, b, gf):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+                out[i + j] = gf.add(out[i + j], gf.mul(ai, bj))
+    return poly_trim(out)
 
 
-def _fp_poly_rem(a, m, p):
-    # a, m lists of coefficients (constant first), m monic
+def poly_rem(a, m, gf):
+    """Remainder of a modulo monic m."""
+    assert m[-1] == 1
     a = list(a)
-    dm = len(m) - 1
+    dm = poly_deg(m)
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
         if c:
             a[i] = 0
             for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return a[:dm]
+                a[i - dm + j] = gf.sub(a[i - dm + j], gf.mul(c, m[j]))
+    return poly_trim(a[:dm] if dm else (0,))
 
 
-def _fp_irreducible(coeffs, p):
-    """Trial division by all lower-degree monic polynomials over F_p."""
-    d = len(coeffs) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for enc in range(p ** deg):
-            div = [(enc // p ** i) % p for i in range(deg)] + [1]
-            r = _fp_poly_rem(coeffs, div, p)
-            if not any(r):
-                return False
-    return True
+def poly_powmod(base, n, m, gf):
+    out = (1,)
+    base = poly_rem(base, m, gf)
+    while n:
+        if n & 1:
+            out = poly_rem(poly_mul(out, base, gf), m, gf)
+        base = poly_rem(poly_mul(base, base, gf), m, gf)
+        n >>= 1
+    return out
 
 
-def _canonical_modulus(p, f):
-    """Smallest (by integer encoding of the low coefficients) monic
-    irreducible polynomial of degree f over F_p."""
-    for enc in range(p ** f):
-        coeffs = [(enc // p ** i) % p for i in range(f)] + [1]
-        if _fp_irreducible(coeffs, p):
-            return coeffs
-    raise AssertionError("no irreducible modulus found")
+def poly_monic(g, gf):
+    lead = g[-1]
+    if lead == 1:
+        return g
+    inv = gf.inv(lead)
+    return tuple(gf.mul(c, inv) for c in g)
+
+
+def poly_gcd(a, b, gf):
+    a, b = poly_trim(a), poly_trim(b)
+    while b != (0,):
+        a, b = b, poly_rem(a, poly_monic(b, gf), gf)
+    return poly_monic(a, gf) if a != (0,) else a
+
+
+_IRREDUCIBLES = {}   # (p, f, d) -> _irreducibles_of_degree(gf, d)
+
+
+def _irreducibles_of_degree(gf, d):
+    """The monic irreducibles of degree d over gf in coefficient order, by a
+    sieve: a monic polynomial is reducible iff it is a b with a a monic
+    irreducible of degree i <= d/2 (from this table) and b monic of degree
+    d - i."""
+    key = gf.p, gf.f, d
+    if key not in _IRREDUCIBLES:
+        reducible = {poly_mul(a, c + (1,), gf) for i in range(1, d // 2 + 1)
+                     for a in _irreducibles_of_degree(gf, i)
+                     for c in product(range(gf.q), repeat=d - i)}
+        _IRREDUCIBLES[key] = tuple(h for h in (c + (1,) for c in product(range(gf.q), repeat=d))
+                                   if h not in reducible)
+    return _IRREDUCIBLES[key]
 
 
 class GF:
@@ -93,12 +130,14 @@ class GF:
         else:
             if self.q > 1024:
                 raise ValueError(f"q = {self.q} exceeds the supported desk-scale bound")
-            self.modulus = _canonical_modulus(p, f)
-            self._mul = [[self._mul_slow(a, b) for b in range(self.q)]
-                         for a in range(self.q)]
-            self._add = [[self._add_slow(a, b) for b in range(self.q)]
-                         for a in range(self.q)]
-            self._neg = [self._neg_slow(a) for a in range(self.q)]
+            fp = get_field(p, 1)
+            # the integer encoding of the coefficients reads them from the top
+            self.modulus = min(_irreducibles_of_degree(fp, f), key=lambda h: h[::-1])
+            vecs = [[(a // p ** i) % p for i in range(f)] for a in range(self.q)]
+            self._add = [[self._enc(map(fp.add, u, v)) for v in vecs] for u in vecs]
+            self._neg = [self._enc(map(fp.neg, u)) for u in vecs]
+            self._mul = [[self._enc(poly_rem(poly_mul(u, v, fp), self.modulus, fp))
+                          for v in vecs] for u in vecs]
 
     def __repr__(self):
         return f"GF({self.p}, {self.f})"
@@ -109,19 +148,8 @@ class GF:
     def __hash__(self):
         return hash((self.p, self.f))
 
-    def _vec(self, a):
-        p = self.p
-        return [(a // p ** i) % p for i in range(self.f)]
-
     def _enc(self, vec):
         return sum(c * self.p ** i for i, c in enumerate(vec))
-
-    def _add_slow(self, a, b):
-        va, vb = self._vec(a), self._vec(b)
-        return self._enc([(x + y) % self.p for x, y in zip(va, vb)])
-
-    def _neg_slow(self, a):
-        return self._enc([(-x) % self.p for x in self._vec(a)])
 
     def add(self, a, b):
         if self.f == 1:
@@ -137,10 +165,6 @@ class GF:
         if self.f == 1:
             return (a - b) % self.p
         return self._add[a][self._neg[b]]
-
-    def _mul_slow(self, a, b):
-        prod = _fp_poly_mul(self._vec(a), self._vec(b), self.p)
-        return self._enc(_fp_poly_rem(prod, self.modulus, self.p))
 
     def mul(self, a, b):
         if self.f == 1:

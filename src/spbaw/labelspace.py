@@ -492,7 +492,7 @@ def poly_jsonable(pc):
 
 def value_jsonable(v):
     if isinstance(v, LSymbol):
-        return {"rows": [list(v.rows[0]), list(v.rows[1])]}
+        return {"rows": [list(v[0]), list(v[1])]}
     if isinstance(v, tuple) and (not v or isinstance(v[0], int)):
         return list(v)
     return [value_jsonable(x) for x in v]

@@ -53,46 +53,43 @@ def _reduce_rows(row_a, row_b):
     return tuple(tuple(x - u for x in row[:len(row) - u]) for row in (row_a, row_b)), u
 
 
-class LSymbol:
-    """An unordered pair of beta-sets modulo simultaneous shift."""
+class LSymbol(tuple):
+    """An unordered pair of beta-sets modulo simultaneous shift: the tuple
+    of its two normal-form rows, in sorted order, so that equality, hashing
+    and order are the tuple's."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, row_a=(), row_b=()):
+    def __new__(cls, row_a=(), row_b=()):
         a = tuple(sorted(row_a, reverse=True))
         b = tuple(sorted(row_b, reverse=True))
         assert len(set(a)) == len(a) and len(set(b)) == len(b), "rows must have distinct entries"
         assert all(x >= 0 for x in a + b)
         (a, b), _ = _reduce_rows(a, b)
-        self.rows = tuple(sorted((a, b)))
+        return tuple.__new__(cls, sorted((a, b)))
 
-    def __eq__(self, other):
-        return isinstance(other, LSymbol) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __lt__(self, other):
-        return self.rows < other.rows
+    @property
+    def rows(self):
+        return tuple(self)
 
     def __repr__(self):
-        return f"LSymbol({list(self.rows[0])}, {list(self.rows[1])})"
+        return f"LSymbol({list(self[0])}, {list(self[1])})"
 
 
 def rank(sym):
-    a, b = sym.rows
+    a, b = sym
     n = len(a) + len(b)
     return sum(a) + sum(b) - (n - 1) ** 2 // 4 if n else 0
 
 
 def defect(sym):
-    a, b = sym.rows
+    a, b = sym
     return abs(len(a) - len(b))
 
 
 def is_degenerate(sym):
     """Equal rows; by convention the empty symbol counts as degenerate."""
-    return sym.rows[0] == sym.rows[1]
+    return sym[0] == sym[1]
 
 
 def shift_rows(rows, t):
@@ -122,8 +119,7 @@ def _pullback(r, side, u, e, mode):
 @lru_cache(maxsize=None)
 def _extract(sym, e, mode):
     """(core, A, B): quotient tuples in absolute chain order (A = chain 0)."""
-    rows = sym.rows
-    tr = abacus(rows, e, zigzag=mode == COHOOK)
+    tr = abacus(sym, e, zigzag=mode == COHOOK)
     quot = {k: partition_of_beta(v) for k, v in tr.items()}
     packed = {k: tuple(range(len(v) - 1, -1, -1)) for k, v in tr.items()}
     core_raw = _untracks(packed, e, mode)
@@ -162,7 +158,7 @@ def _attach(core, first, second, e, mode):
     carrying `second`; re-extracted before it is returned."""
     assert mode in (HOOK, COHOOK)
     needed = max(map(len, first + second), default=0)
-    tr = abacus(shift_rows(core.rows, 2 * e * (needed + 1)), e, zigzag=mode == COHOOK)
+    tr = abacus(shift_rows(core, 2 * e * (needed + 1)), e, zigzag=mode == COHOOK)
     quot = {(r, side): p for side, tup in enumerate((first, second))
             for r, p in enumerate(tup)}
     new = {key: beta_set(quot.get(key, ()), len(heights))

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -292,7 +294,7 @@ def test_verify_maps_each_brauer_label_once(tmp_path, monkeypatch):
 def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
     # the irreducible sieve depends on F_q and the degree only: a second
     # ell over the same field sieves no degree again
-    from spbaw import ffpoly, labelspace
+    from spbaw import ffpoly, gf, labelspace
     sieved = []
 
     class Table(dict):
@@ -300,7 +302,7 @@ def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
             sieved.append(key)
             super().__setitem__(key, value)
 
-    monkeypatch.setattr(ffpoly, "_IRREDUCIBLES", Table())
+    monkeypatch.setattr(gf, "_IRREDUCIBLES", Table())
     monkeypatch.setattr(ffpoly, "_FACTORS", {})
     ffpoly._enumerate_classes_cached.cache_clear()
     labelspace._enumerate_semisimple_cached.cache_clear()
@@ -315,7 +317,7 @@ def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
 def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
     # the irreducibles come from the sieve and the Frobenius images from
     # coefficient powers, on a cold class table
-    from spbaw import bawcheck, ffpoly, labelspace
+    from spbaw import bawcheck, ffpoly, gf, labelspace
     calls = []
     is_irreducible = ffpoly.is_irreducible
 
@@ -324,7 +326,7 @@ def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
         return is_irreducible(g, ctx)
 
     monkeypatch.setattr(ffpoly, "is_irreducible", counted)
-    monkeypatch.setattr(ffpoly, "_IRREDUCIBLES", {})
+    monkeypatch.setattr(gf, "_IRREDUCIBLES", {})
     monkeypatch.setattr(ffpoly, "_FACTORS", {})
     ffpoly._enumerate_classes_cached.cache_clear()
     ffpoly._frobenius_class_cached.cache_clear()
@@ -333,7 +335,7 @@ def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
     assert main(["verify", "--p", str(p), "--f", str(f), "--ell", str(ell),
                  "--n", str(n), "--out", str(tmp_path / "r.json")]) == 0
     assert calls == []
-    assert ffpoly._IRREDUCIBLES
+    assert gf._IRREDUCIBLES
     assert (ffpoly._frobenius_class_cached.cache_info().misses > 0) == (f > 1)
 
 
@@ -740,3 +742,33 @@ def test_output_goes_through_a_temporary_file_of_its_own(tmp_path, monkeypatch):
         cli._emit("text", str(out))
     assert not out.exists()
     assert [p.name for p in tmp_path.rglob("*.tmp")] == [other.name]
+
+
+VERIFY_SMALL = ["verify", "--p", "3", "--ell", "5", "--n", "1"]
+
+
+def test_out_writes_a_fifo_in_place(tmp_path):
+    # a FIFO stays a FIFO, and its reader gets the report's bytes
+    fifo, plain = tmp_path / "report.fifo", tmp_path / "report.json"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(VERIFY_SMALL + ["--out", str(fifo)]) == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert main(VERIFY_SMALL + ["--out", str(plain)]) == 0
+    assert got == [plain.read_bytes()]
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+def test_out_through_a_symlink_writes_its_target(tmp_path, target_exists):
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    if target_exists:
+        target.write_text("")
+    link.symlink_to(target)
+    assert main(VERIFY_SMALL + ["--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["summary"]["all_pass"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]

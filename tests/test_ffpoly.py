@@ -5,6 +5,7 @@ import pytest
 
 from spbaw.fieldctx import make_context, order_mod
 from spbaw import ffpoly as fp
+from spbaw import gf as gfmod
 from spbaw.ffpoly import poly_deg, poly_monic, poly_mul, poly_powmod, poly_rem, poly_trim
 
 
@@ -319,8 +320,8 @@ def test_frobenius_class_matches_polynomial_frobenius(ctx, max_total_deg):
                          ids=["q3", "q5", "q7", "q9", "q25", "q27"])
 def test_sieve_matches_rabin_search(monkeypatch, p, f, maxdeg):
     ctx = make_context(p, f, 11)
-    monkeypatch.setattr(fp, "_IRREDUCIBLES", {})
-    sieved = [g for d in range(1, maxdeg + 1) for g in fp._irreducibles_of_degree(ctx, d)]
+    monkeypatch.setattr(gfmod, "_IRREDUCIBLES", {})
+    sieved = [g for d in range(1, maxdeg + 1) for g in gfmod._irreducibles_of_degree(ctx.gf, d)]
     want = sorted(fp.enumerate_irreducibles(ctx, maxdeg), key=lambda g: (len(g), g))
     assert sieved == want
 
