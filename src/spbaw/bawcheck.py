@@ -256,17 +256,6 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators):
     return violations
 
 
-def verify_equivariance(ctx, n, generators=(FIELD(1), DIAGONAL)):
-    """Equivariance of the bijection under the generator actions, checked
-    on every Brauer label of every block at rank n."""
-    tables = [block_table(ctx, b) for b in ls.enumerate_blocks(ctx, n)]
-    bijection = bijection_of(tables)
-    violations = [v for t in tables for v in verify_equivariance_of_block(
-        ctx, t.pairs, bijection, generators)]
-    return {"n_checked": sum(len(t.pairs) for t in tables) * len(generators),
-            "violations": violations, "ok": not violations}
-
-
 def verify_action_laws(ctx, ibrs, weights_q):
     """diagonal^2 = id, field(i)field(j) = field(i+j), and commutation,
     as identities of maps on the given Brauer and Q-form weight labels.

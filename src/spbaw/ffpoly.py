@@ -14,11 +14,10 @@ g with its coefficients raised to the p^i.
 The arithmetic in F_q[X] (product, remainder, powers, gcd) and the
 product sieve of monic irreducibles per degree come from gf, shared by
 every ell and rank over F_q; this module keeps the classes, the class
-table and Rabin's test (is_irreducible), which serves classify and the
-brute-force reference enumerate_irreducibles.
+table and Rabin's test (is_irreducible), which serves only the tests'
+references classify and enumerate_irreducibles.
 """
 
-import json
 from collections import namedtuple
 from functools import lru_cache
 
@@ -146,9 +145,6 @@ class PolyClass(namedtuple("PolyClass",
         assert self.family != "F0", "sign of an F0 class is never used"
         return self[6]
 
-    def sort_key(self):
-        return (self.deg, self.gamma)
-
     def __repr__(self):
         return f"PolyClass({self.family}, {list(self.gamma)})"
 
@@ -219,11 +215,6 @@ def enumerate_classes(ctx, max_total_deg, ell_prime_only=False):
     an F2 product of degree 2d has a factor of degree d, taken once per
     star pair.
     """
-    return list(_enumerate_classes_cached(ctx, max_total_deg, ell_prime_only))
-
-
-@lru_cache(maxsize=None)
-def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
     factors = [poly_x_minus_one(ctx)]
     if max_total_deg >= 1:
         factors.append(poly_x_plus_one(ctx))
@@ -232,7 +223,7 @@ def _enumerate_classes_cached(ctx, max_total_deg, ell_prime_only):
     classes = [_class_of_factor(g, ctx) for g in factors]
     if ell_prime_only:
         classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
-    return tuple(sorted(classes))
+    return sorted(classes)
 
 
 _FACTORS = {}        # (p, f, d) -> _factors_of_degree(ctx, d)
@@ -304,18 +295,3 @@ def _frobenius_class_cached(pc, i, ctx):
         raise AssertionError(f"frobenius image {out} of {pc} changes its family or e_Gamma")
     return out
 
-
-def dump_classes_jsonl(ctx, max_total_deg):
-    """JSON-lines dump of the classified table (coefficients as integers)."""
-    lines = []
-    for pc in enumerate_classes(ctx, max_total_deg):
-        f0 = pc.family == "F0"
-        lines.append(json.dumps({
-            "coeffs": list(pc.gamma),
-            "family": pc.family,
-            "delta": None if f0 else pc.delta,
-            "sign": None if f0 else pc.sign,
-            "eGamma": pc.e_gamma,
-            "betaGamma": pc.beta,
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n"

@@ -25,16 +25,13 @@ def order_mod(a, m):
     return k
 
 
-_FIELDS = {}    # (p, f) -> get_field(p, f), filled by make_context
-
-
 class FieldContext(namedtuple("FieldContext", "p f q ell e epsilon")):
     __slots__ = ()
 
     @property
     def gf(self):
         """F_q, outside equality and hashing: (p, f) determines it."""
-        return _FIELDS[self.p, self.f]
+        return get_field(self.p, self.f)
 
     @property
     def mode(self):
@@ -59,5 +56,5 @@ def make_context(p, f, ell):
     else:
         assert (pow(q, e, ell) + 1) % ell == 0
         epsilon = -1
-    _FIELDS[p, f] = get_field(p, f)
+    get_field(p, f)     # build and check F_q here, not at first use
     return FieldContext(p=p, f=f, q=q, ell=ell, e=e, epsilon=epsilon)

@@ -124,29 +124,32 @@ class GF:
         assert f >= 1
         self.p = p
         self.f = f
-        self.q = p ** f
+        self.q = q = p ** f
         if f == 1:
             self.modulus = None
         else:
-            if self.q > 1024:
-                raise ValueError(f"q = {self.q} exceeds the supported desk-scale bound")
+            if q > 1024:
+                raise ValueError(f"q = {q} exceeds the supported desk-scale bound")
             fp = get_field(p, 1)
             # the integer encoding of the coefficients reads them from the top
             self.modulus = min(_irreducibles_of_degree(fp, f), key=lambda h: h[::-1])
-            vecs = [[(a // p ** i) % p for i in range(f)] for a in range(self.q)]
-            self._add = [[self._enc(map(fp.add, u, v)) for v in vecs] for u in vecs]
-            self._neg = [self._enc(map(fp.neg, u)) for u in vecs]
-            self._mul = [[self._enc(poly_rem(poly_mul(u, v, fp), self.modulus, fp))
-                          for v in vecs] for u in vecs]
+            # a = a_0 + p a' encodes a_0 + t a'(t), so each table row is read
+            # off shorter ones; t b is reduced by the modulus once per b
+            self._add, self._neg, self._mul = add, neg, mul = [list(range(q))], [0], [[0] * q]
+            for a in range(1, q):
+                add.append([(a + b) % p + p * add[a // p][b // p] for b in range(q)])
+                neg.append(-a % p + p * neg[a // p])
+            t_times = [self._enc(poly_rem((0,) + tuple((b // p ** i) % p for i in range(f)),
+                                          self.modulus, fp)) for b in range(q)]
+            for a in range(1, q):
+                if a < p:   # a b = (a - 1) b + b
+                    low, high = mul[a - 1], range(q)
+                else:       # a b = a_0 b + t (a' b)
+                    low, high = mul[a % p], [t_times[y] for y in mul[a // p]]
+                mul.append([add[x][y] for x, y in zip(low, high)])
 
     def __repr__(self):
         return f"GF({self.p}, {self.f})"
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and (self.p, self.f) == (other.p, other.f)
-
-    def __hash__(self):
-        return hash((self.p, self.f))
 
     def _enc(self, vec):
         return sum(c * self.p ** i for i, c in enumerate(vec))

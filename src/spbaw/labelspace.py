@@ -28,14 +28,13 @@ def check(cond, msg):
         raise CheckFailed(msg)
 
 
-@lru_cache(maxsize=None)
 def x_minus_class(ctx):
-    return ffpoly.classify(ffpoly.poly_x_minus_one(ctx), ctx)
+    return ffpoly._class_of_factor(ffpoly.poly_x_minus_one(ctx), ctx)
 
 
 @lru_cache(maxsize=None)
 def x_plus_class(ctx):
-    return ffpoly.classify(ffpoly.poly_x_plus_one(ctx), ctx)
+    return ffpoly._class_of_factor(ffpoly.poly_x_plus_one(ctx), ctx)
 
 
 def is_x_minus(pc, ctx):
@@ -212,15 +211,19 @@ def _component_key(ctx, s, pc):
     return (_defect_tag(ctx, pc, s.eta_plus), m // 2, ctx.e, ctx.mode)
 
 
+def _core_share(ctx, pc, core):
+    """The part of the multiplicity at pc that the core takes: its size at
+    F1/F2, twice its rank at X+1, and one more at X-1."""
+    if pc.family != "F0":
+        return sum(core)
+    return 2 * symbcomb.rank(core) + (1 if is_x_minus(pc, ctx) else 0)
+
+
 def weight_of(ctx, block, pc):
     """The weight w_Gamma: the multiplicity less the core's share, in steps
     of branch_count."""
     m, core = block.s.mult(pc), block.core_of(pc)
-    if pc.family != "F0":
-        share = sum(core)
-    else:
-        share = 2 * symbcomb.rank(core) + (1 if is_x_minus(pc, ctx) else 0)
-    lhs, step = m - share, branch_count(ctx, pc)
+    lhs, step = m - _core_share(ctx, pc, core), branch_count(ctx, pc)
     if lhs < 0 or lhs % step:
         raise ValueError(f"no nonnegative integer weight at {pc}: m={m}, core={core}")
     return lhs // step
@@ -382,7 +385,8 @@ class WeightLabelK(_Label, namedtuple("WeightLabelK", "block k")):
 
 
 def branch_count(ctx, pc):
-    return pc.beta * (ctx.e if pc.family == "F0" else pc.e_gamma)
+    """beta * e_Gamma: an F0 class carries e_Gamma = e."""
+    return pc.beta * pc.e_gamma
 
 
 def _weight_labels(ctx, block, label_cls, tuples_of):
@@ -455,23 +459,16 @@ def audit_block(ctx, block, weights, n):
     """Dimension bookkeeping for a block with weights block_weights(ctx,
     block), once for all its weight labels: the multiplicity at every
     divisor splits into the core part plus beta * e_Gamma per unit of
-    weight, and the displaced and fixed spaces fill dimension 2n+1."""
-    dim_fixed, dim_moved = 0, 0
+    weight, and the divisors fill dimension 2n+1."""
+    dim = 0
     for pc, w in weights:
         m = block.s.mult(pc)
-        core = block.core_of(pc)
-        if pc.family != "F0":
-            split = sum(core) + pc.e_gamma * w
-        elif is_x_plus(pc, ctx):
-            split = 2 * symbcomb.rank(core) + 2 * ctx.e * w
-        else:
-            split = 2 * symbcomb.rank(core) + 1 + 2 * ctx.e * w
-        check(m == split, "multiplicity is not core plus e_Gamma * weight")
         displaced = w * branch_count(ctx, pc)
+        check(m == _core_share(ctx, pc, block.core_of(pc)) + displaced,
+              "multiplicity is not core plus e_Gamma * weight")
         check(m - displaced >= 0, "weight exceeds available multiplicity")
-        dim_fixed += (m - displaced) * pc.deg
-        dim_moved += displaced * pc.deg
-    check(dim_fixed + dim_moved == 2 * n + 1, "dimensions do not fill 2n+1")
+        dim += m * pc.deg
+    check(dim == 2 * n + 1, "dimensions do not fill 2n+1")
     return True
 
 
@@ -520,7 +517,3 @@ def weight_q_jsonable(ctx, wl):
     return {"block": block_jsonable(ctx, wl.block),
             "Q": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in wl.q]}
 
-
-def weight_k_jsonable(ctx, wl):
-    return {"block": block_jsonable(ctx, wl.block),
-            "K": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in wl.k]}

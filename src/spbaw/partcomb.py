@@ -43,14 +43,17 @@ def abacus(rows, e, zigzag=False):
 
 @lru_cache(maxsize=None)
 def e_core_quotient(p, e):
-    """The e-core and ordered e-quotient of p (single-runner abacus form)."""
+    """The e-core and ordered e-quotient of p, read on the runners holding
+    beads of its beta-set of length len(p): runner r is quotient slot
+    (r - len(p)) % e, its runner on a beta-set of length a multiple of e."""
     assert e >= 1
-    length = -(-max(len(p), 1) // e) * e
-    runners = abacus((beta_set(p, length),), e)
-    quotient = tuple(partition_of_beta(runners.get((r, 0), ())) for r in range(e))
-    core_beta = [e * j + r for (r, _), h in runners.items() for j in range(len(h))]
-    core = partition_of_beta(core_beta)
-    return core, quotient
+    k = len(p)
+    runners = abacus((beta_set(p, k),), e)
+    quotient = [()] * e
+    for (r, _), heights in runners.items():
+        quotient[(r - k) % e] = partition_of_beta(heights)
+    core = partition_of_beta([e * j + r for (r, _), h in runners.items() for j in range(len(h))])
+    return core, tuple(quotient)
 
 
 def e_core(p, e):
@@ -66,21 +69,17 @@ def is_e_core(p, e):
 
 @lru_cache(maxsize=None)
 def from_core_quotient(core, quotient):
-    """The unique partition with the given e-core and e-quotient."""
+    """The unique partition with the given e-core and e-quotient: each runner
+    holding beads of the core's beta-set, lengthened by e per part of the
+    longest entry, takes the beta-set of its slot's entry."""
     e = len(quotient)
     assert e >= 1
     if not is_e_core(core, e):
         raise ValueError(f"{core} is not a {e}-core")
-    t = len(core) + max((len(q) for q in quotient), default=0) + 1
-    runners = abacus((beta_set(core, e * t),), e)
+    length = len(core) + e * max(map(len, quotient))
     new_beta = []
-    for r in range(e):
-        heights = runners.get((r, 0), ())
-        k = len(heights)
-        assert heights == tuple(range(k - 1, -1, -1)), "core runners must be packed"
-        q = quotient[r]
-        assert k >= len(q)
-        new_beta.extend(e * j + r for j in beta_set(q, k))
+    for (r, _), heights in abacus((beta_set(core, length),), e).items():
+        new_beta.extend(e * j + r for j in beta_set(quotient[(r - length) % e], len(heights)))
     return partition_of_beta(new_beta)
 
 

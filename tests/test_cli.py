@@ -304,7 +304,6 @@ def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gf, "_IRREDUCIBLES", Table())
     monkeypatch.setattr(ffpoly, "_FACTORS", {})
-    ffpoly._enumerate_classes_cached.cache_clear()
     labelspace._enumerate_semisimple_cached.cache_clear()
     for ell, first in ((5, True), (7, False)):
         sieved.clear()
@@ -328,7 +327,6 @@ def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
     monkeypatch.setattr(ffpoly, "is_irreducible", counted)
     monkeypatch.setattr(gf, "_IRREDUCIBLES", {})
     monkeypatch.setattr(ffpoly, "_FACTORS", {})
-    ffpoly._enumerate_classes_cached.cache_clear()
     ffpoly._frobenius_class_cached.cache_clear()
     labelspace._enumerate_semisimple_cached.cache_clear()
     bawcheck._field_on_semisimple.cache_clear()

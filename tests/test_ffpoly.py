@@ -200,17 +200,6 @@ def test_frobenius_class_moves_labels_over_f9():
         assert fp.frobenius_class(pc, CTX925.f, CTX925) == pc
 
 
-def test_dump_classes_jsonl():
-    import json
-    dump = fp.dump_classes_jsonl(CTX35, 2)
-    rows = [json.loads(line) for line in dump.strip().splitlines()]
-    assert any(r["family"] == "F0" and r["betaGamma"] == 2 for r in rows)
-    f0 = [r for r in rows if r["family"] == "F0"]
-    assert all(r["delta"] is None and r["sign"] is None for r in f0)
-    f1 = [r for r in rows if r["family"] == "F1"]
-    assert all(isinstance(r["delta"], int) for r in f1)
-
-
 def brute_force_classes(ctx, max_total_deg):
     """The class table from a Rabin test on every monic polynomial of
     degree <= max_total_deg: F1 members and F2 products are classified
@@ -227,7 +216,7 @@ def brute_force_classes(ctx, max_total_deg):
         elif 2 * fp.poly_deg(g) <= max_total_deg and min(g, st) not in seen_f2:
             seen_f2.add(min(g, st))
             classes.append(fp.classify(fp.poly_mul(g, st, ctx.gf), ctx))
-    return sorted(classes, key=fp.PolyClass.sort_key)
+    return sorted(classes)
 
 
 def _mulmod(a, b, m, gf):

@@ -27,7 +27,7 @@ def test_modulus_is_the_smallest_irreducible_by_integer_encoding(p, f):
     assert tuple(gf.GF(p, f).modulus) == want
 
 
-@pytest.mark.parametrize("p,f", FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS + [(13, 2), (3, 5)])
 def test_tables_are_coordinates_over_f_p_and_multiplication_by_t(p, f):
     # element a has coordinates a_0 + a_1 t + ...; t is encoded as p, and
     # t a shifts the coordinates up and reduces t^f by the modulus
@@ -42,6 +42,17 @@ def test_tables_are_coordinates_over_f_p_and_multiplication_by_t(p, f):
         for b in range(F.q):
             vb = [(b // p ** i) % p for i in range(f)]
             assert F.add(a, b) == _encoding([(x + y) % p for x, y in zip(va, vb)], p)
+    # a b is the sum of a_i copies of t^i b, from the add table and t b
+    for b in range(F.q):
+        powers = [b]
+        for _ in range(f - 1):
+            powers.append(F.mul(p, powers[-1]))
+        for a in range(F.q):
+            want = 0
+            for i in range(f):
+                for _ in range((a // p ** i) % p):
+                    want = F.add(want, powers[i])
+            assert F.mul(a, b) == want
 
 
 @pytest.mark.parametrize("p,f", [(p, f) for p, f in FIELDS if p ** f <= 27])

@@ -88,6 +88,37 @@ def test_from_core_quotient_round_trip():
     assert pc.from_core_quotient(*pc.e_core_quotient((2,), 2)) == (2,)
 
 
+def _core_quotient_on_whole_rows(p, e):
+    """The e-core and e-quotient from a beta-set whose length is a positive
+    multiple of e, where quotient slot r is runner r and every runner
+    holds beads."""
+    length = -(-max(len(p), 1) // e) * e
+    runners = [[] for _ in range(e)]
+    for x in pc.beta_set(p, length):
+        runners[x % e].append(x // e)
+    quotient = tuple(pc.partition_of_beta(tuple(h)) for h in runners)
+    core = pc.partition_of_beta([e * j + r for r in range(e) for j in range(len(runners[r]))])
+    return core, quotient
+
+
+def test_core_and_quotient_follow_the_beads():
+    # the runners that hold beads of the beta-set of length len(p) give the
+    # same core and quotient as every runner of a length a multiple of e
+    for m in range(11):
+        for p in pc.enumerate_partitions(m):
+            for e in range(1, 7):
+                want = _core_quotient_on_whole_rows(p, e)
+                assert pc.e_core_quotient.__wrapped__(p, e) == want
+                assert pc.from_core_quotient.__wrapped__(*want) == p
+    e = 10 ** 5
+    assert pc.e_core_quotient((2, 1), e + 3) == ((2, 1), ((),) * (e + 3))
+    assert pc.from_core_quotient((2, 1), ((),) * (e + 3)) == (2, 1)
+    want = _core_quotient_on_whole_rows((e,), e)
+    assert want == ((), ((),) * (e - 1) + ((1,),))
+    assert pc.e_core_quotient((e,), e) == want
+    assert pc.from_core_quotient(*want) == (e,)
+
+
 def test_from_core_quotient_rejects_non_core():
     with pytest.raises(ValueError):
         pc.from_core_quotient((2,), ((), (1,)))
