@@ -43,8 +43,7 @@ def brauer_to_weight(ctx, ib):
     the weight's entry.  At X-1 and X+1 the entry is the chain-0 tuple A,
     then the chain-1 tuple B, swapped at X+1 when j = 1; a degenerate X+1
     core gives its chains no absolute order, so the pair is sorted first.
-    The block follows labelspace.block_of_ibr, and verify_block's round
-    trip checks the reconstruction."""
+    verify_block's round trip checks the reconstruction."""
     e, mode = ctx.e, ctx.mode
     kappa, entries = [], []
     i, i_collapsed = 0, True
@@ -272,19 +271,3 @@ def verify_action_laws(ctx, ibrs, weights_q):
             dfx = dx if fx is x else act(ctx, d, fx)
             check(dfx == act(ctx, f1, dx), "diagonal and field(1) do not commute")
     return True
-
-
-def orbit_sizes(items, step):
-    """Multiset of orbit sizes of the cyclic action generated by step."""
-    seen, sizes = set(), []
-    for x in items:
-        if x in seen:
-            continue
-        orbit = [x]
-        y = step(x)
-        while y != x:
-            orbit.append(y)
-            y = step(y)
-        seen.update(orbit)
-        sizes.append(len(orbit))
-    return sorted(sizes)

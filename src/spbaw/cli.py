@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from itertools import product
 
 from . import __version__, bawcheck as bc, labelspace as ls
 from .fieldctx import make_context
@@ -136,8 +135,22 @@ def _build_report(ctx, n, checks):
     return report
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _report_json(report):
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    """json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n".
+    A report's block records are encoded one at a time and joined ahead of
+    the encoded rest, so the encoder's small token strings for only one
+    record are alive at once.  This is exact when "blocks" is the first key
+    in sorted order, as it is in every report; any other dict is encoded
+    whole."""
+    blocks = report.get("blocks")
+    if not isinstance(blocks, list) or min(report) != "blocks":
+        return _ENCODER.encode(report) + "\n"
+    rest = _ENCODER.encode({k: v for k, v in report.items() if k != "blocks"})
+    return "".join(('{"blocks":[', ",".join(map(_ENCODER.encode, blocks)), "]",
+                    "}" if rest == "{}" else "," + rest[1:], "\n"))
 
 
 def _report_csv(report):
@@ -153,10 +166,10 @@ def _report_csv(report):
     for rec in report["blocks"]:
         writer.writerow({
             **ctx, "n": report["n"],
-            "s": json.dumps(rec["s"], sort_keys=True, separators=(",", ":")),
-            "kappa": json.dumps(rec["kappa"], sort_keys=True, separators=(",", ":")),
+            "s": _ENCODER.encode(rec["s"]),
+            "kappa": _ENCODER.encode(rec["kappa"]),
             "i": rec["i"],
-            "w": json.dumps(rec["w"], sort_keys=True, separators=(",", ":")),
+            "w": _ENCODER.encode(rec["w"]),
             "n_ibr": rec.get("n_ibr", ""),
             "n_weights_q": rec.get("n_weights_q", ""),
             "n_weights_k": rec.get("n_weights_k", ""),
@@ -215,79 +228,10 @@ def cmd_report(args):
     return 0 if report["summary"]["all_pass"] else 1
 
 
-def _differs_in_version_only(cached, report):
-    """True when the cached report text is report's bytes up to "version"."""
-    try:
-        old = json.loads(cached)
-    except ValueError:
-        return False
-    return (isinstance(old, dict) and
-            _report_json({**old, "version": report["version"]}) == _report_json(report))
-
-
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
-
-
-def _entry(point):
-    return dict(zip(("p", "f", "ell", "n"), point))
-
-
-def _sweep_point(point, checks, cache_dir, work_limit):
-    """One grid point of a sweep: its summary entry and exit status.  An
-    OSError (a cache that cannot be read or written) propagates."""
-    p, f, ell, n = point
-    entry = _entry(point)
-    try:
-        _check_work_limit(p, f, n, work_limit)
-        ctx = make_context(p, f, ell)
-    except ValueError as exc:
-        entry.update(status="error", error=str(exc))
-        return entry, 2
-    report = _report_or_failure(ctx, n, checks)
-    if not report["summary"]["all_pass"]:
-        if "failed" in report:
-            entry["failed"] = report["failed"]
-        entry["status"] = "failed"
-        return entry, 1
-    key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
-    path = os.path.join(cache_dir, key + ".json")
-    text = _report_json(report)
-    if not os.path.exists(path):
-        _emit(text, path)
-        entry["status"] = "new"
-        return entry, 0
-    with open(path) as fh:
-        cached = fh.read()
-    if cached == text:
-        entry["status"] = "match"
-    elif _differs_in_version_only(cached, report):
-        entry["status"] = "version_changed"
-    else:
-        entry["status"] = "regression"
-        return entry, 1
-    return entry, 0
-
-
 def cmd_sweep(args):
-    from . import sweep   # the shards and their workers: only a sweep loads it
+    from . import sweep   # the grid, its shards and workers: only a sweep loads it
 
-    cache_dir = args.cache_dir or os.environ.get("SP_BAW_CACHE_DIR")
-    if not cache_dir:
-        raise ValueError("sweep needs --cache-dir or SP_BAW_CACHE_DIR")
-    checks = _parse_checks(args.checks)
-    os.makedirs(cache_dir, exist_ok=True)
-    points = list(product(*map(_int_list, (args.p, args.f, args.ell, args.n))))
-    results = sweep.run_sharded(
-        points, sweep.shards(points, args.jobs, args.work_limit),
-        lambda point: _sweep_point(point, checks, cache_dir, args.work_limit))
-    entries = [entry for entry, _ in results]
-    summary = {"version": __version__, "cache_dir": cache_dir,
-               "configs": entries,
-               "regressions": sum(1 for r in entries
-                                  if r["status"] in ("regression", "failed"))}
-    _emit(_report_json(summary), args.out)
-    return max((status for _, status in results), default=0)
+    return sweep.run_grid(args)
 
 
 def _positive_int(text):

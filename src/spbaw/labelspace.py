@@ -183,8 +183,7 @@ def _component_table(tag, size, e, mode):
     else the rank-size symbols in the defect class tag by e-core in mode.
     Each member is enumerated and extracted once.  The members with core
     kappa and weight w are those of size |kappa| + e*w with core kappa, all
-    in one defect class (a cohook changes the defect by 2), so a symbol
-    group is symbcomb.symbols_with_core(kappa, w, e, mode)."""
+    in one defect class (a cohook changes the defect by 2)."""
     groups = {}
     if tag == "partition":
         for lam in partcomb.enumerate_partitions(size):
@@ -303,24 +302,6 @@ def enumerate_ibr(ctx, block):
     return sorted(out)
 
 
-def block_of_ibr(ctx, label):
-    """The unique block containing a Brauer label: take component cores."""
-    xp = x_plus_class(ctx)
-    kappa = []
-    for pc, v in label.lam:
-        if pc.family != "F0":
-            kappa.append((pc, partcomb.e_core(v, pc.e_gamma)))
-        else:
-            kappa.append((pc, symbcomb.sym_core_quotient(v, ctx.e, ctx.mode)[0]))
-    if xp not in [pc for pc, _ in label.lam]:
-        kappa.append((xp, LSymbol()))
-    kappa = tuple(sorted(kappa))
-    core_plus = dict(kappa)[xp]
-    if symbcomb.is_degenerate(core_plus):
-        return BlockLabel(s=label.s, kappa=kappa, i=0, i_collapsed=True)
-    return BlockLabel(s=label.s, kappa=kappa, i=label.j, i_collapsed=False)
-
-
 def enumerate_ibr_universe(ctx, n):
     """Every Brauer label over every ell-regular semisimple class, built
     without reference to blocks (the global basic-set universe).  The
@@ -436,25 +417,6 @@ def k_to_q(ctx, wk):
     return WeightLabelQ(block=wk.block, q=q)
 
 
-def q_to_k(ctx, wq):
-    k = tuple((pc, tuple(partcomb.core_tower(p, ctx.ell) for p in fam))
-              for pc, fam in wq.q)
-    return WeightLabelK(block=wq.block, k=k)
-
-
-def radical_shape(ctx, wk):
-    """Multiplicities of the radical-subgroup factors carried by K: one
-    entry (divisor, level, branch, t) per slot family with t > 0."""
-    shape = []
-    for pc, fam in wk.k:
-        for b, tower in enumerate(fam):
-            for d, level in enumerate(tower):
-                t = sum(sum(x) for x in level)
-                if t:
-                    shape.append((pc, d, b, t))
-    return tuple(sorted(shape))
-
-
 def audit_block(ctx, block, weights, n):
     """Dimension bookkeeping for a block with weights block_weights(ctx,
     block), once for all its weight labels: the multiplicity at every
@@ -483,11 +445,20 @@ def audit_weight_label(ctx, wq, weights):
 # ---------------------------------------------------------------------------
 # serialization
 
+# The fragments below are memoized: every block record, witness and CSV
+# row over one divisor class, component or semisimple label shares one
+# fragment, so no caller may mutate what they return.  Their keys are
+# values that the memoized label enumerators already keep alive.
+
+@lru_cache(maxsize=None)
 def poly_jsonable(pc):
     return {"coeffs": list(pc.gamma), "family": pc.family}
 
 
+@lru_cache(maxsize=None, typed=True)
 def value_jsonable(v):
+    """A partition, symbol or tuple of them as JSON.  Typed: an LSymbol
+    and the plain tuple of its rows compare equal but differ here."""
     if isinstance(v, LSymbol):
         return {"rows": [list(v[0]), list(v[1])]}
     if isinstance(v, tuple) and (not v or isinstance(v[0], int)):
@@ -495,6 +466,7 @@ def value_jsonable(v):
     return [value_jsonable(x) for x in v]
 
 
+@lru_cache(maxsize=None)
 def semisimple_jsonable(s):
     return {"mult": [[poly_jsonable(pc), m] for pc, m in s.entries],
             "eta_plus": s.eta_plus, "eta_minus": s.eta_minus}

@@ -83,34 +83,20 @@ def from_core_quotient(core, quotient):
     return partition_of_beta(new_beta)
 
 
-def core_tower(p, ell):
-    """Tower of ell-cores: level 0 is the core of p, level d+1 concatenates
-    the towers of the ell-quotient entries.  Trailing all-empty levels are
-    trimmed, so the empty partition has the empty tower."""
-    assert ell >= 2
-    if not p:
-        return ()
-    core, quotient = e_core_quotient(p, ell)
-    subtowers = [core_tower(q, ell) for q in quotient]
-    depth = max((len(t) for t in subtowers), default=0)
-    levels = [(core,)]
-    for d in range(depth):
-        level = []
-        for t in subtowers:
-            level.extend(t[d] if d < len(t) else ((),) * ell ** d)
-        levels.append(tuple(level))
-    while levels and all(x == () for x in levels[-1]):
-        levels.pop()
-    return tuple(levels)
-
-
+@lru_cache(maxsize=None)
 def tower_to_partition(tower, ell):
-    """Two-sided inverse of core_tower."""
+    """The partition with ell-core tower `tower`: level 0 holds its
+    ell-core, level d+1 the towers of its ell-quotient entries side by side
+    (ell^d entries each), trailing all-empty levels trimmed; the empty
+    tower is the empty partition's.  A malformed tower raises ValueError."""
     if not tower:
         return ()
     for d, level in enumerate(tower):
-        assert len(level) == ell ** d, "malformed tower level"
-        assert all(is_e_core(x, ell) for x in level), "tower entries must be ell-cores"
+        if len(level) != ell ** d:
+            raise ValueError(f"malformed tower level {d}: {len(level)} entries, "
+                             f"not {ell}^{d}")
+        if not all(is_e_core(x, ell) for x in level):
+            raise ValueError(f"tower entries must be {ell}-cores: level {d} is {level}")
     core = tower[0][0]
     subtowers = []
     for j in range(ell):
@@ -123,11 +109,6 @@ def tower_to_partition(tower, ell):
         subtowers.append(tuple(sub))
     quotient = tuple(tower_to_partition(t, ell) for t in subtowers)
     return from_core_quotient(core, quotient)
-
-
-def tower_weighted_size(tower, ell):
-    return sum(ell ** d * sum(sum(x) for x in level)
-               for d, level in enumerate(tower))
 
 
 def enumerate_partitions(m):
@@ -146,13 +127,6 @@ def enumerate_partitions(m):
 
     rec(m, m if m else 1, [])
     return out
-
-
-def enumerate_e_cores(e, max_size):
-    """All e-cores of size <= max_size, ordered by (size, enumeration order)."""
-    assert e >= 1 and max_size >= 0
-    return [p for s in range(max_size + 1) for p in enumerate_partitions(s)
-            if is_e_core(p, e)]
 
 
 def weighted_tuples(k, w, items_of):

@@ -1,18 +1,23 @@
-"""The shards of `sp-baw sweep` and the forked workers that run them.
+"""`sp-baw sweep`: its grid points, the regression cache, and the shards
+and forked workers that run them.
 
-`cli.cmd_sweep` splits its grid points into shards (`shards`) and hands
-them to `run_sharded` with its per-point function: every shard but the
-first runs in a forked worker, which sends its entries back as JSON over a
-pipe, and the entries are merged in grid order, so the summary and the
-cache bytes do not depend on --jobs.  The CLI imports this module only for
-`sweep`, so `verify` and `blocks` do not compile or load it.
+`run_grid` runs every grid point through one per-point function,
+`_sweep_point` (work-limit refusal, report, cache write or compare).  It
+splits the points into shards (`shards`) and hands them to `run_sharded`:
+every shard but the first runs in a forked worker, which sends its entries
+back as JSON over a pipe, and the entries are merged in grid order, so the
+summary and the cache bytes do not depend on --jobs.  The CLI imports this
+module only for `sweep`, so `verify` and `blocks` do not compile or load
+it.
 """
 
 import json
 import os
 import sys
+from itertools import product
 
-from . import cli
+from . import __version__, cli
+from .fieldctx import make_context
 
 
 def _usable_cpus():
@@ -119,7 +124,7 @@ def run_sharded(points, shards, run):
     for shard, payload in done:
         if isinstance(payload, str):
             payload = {"results": [
-                (dict(cli._entry(points[i]), status="failed", failed=payload), 1)
+                (dict(_entry(points[i]), status="failed", failed=payload), 1)
                 for i in shard]}
         raised = raised or payload.get("raise")
         for i, result in zip(shard, payload.get("results", ())):
@@ -128,3 +133,79 @@ def run_sharded(points, shards, run):
         is_oserror, message = raised
         raise (OSError if is_oserror else ValueError)(message)
     return results
+
+
+def _differs_in_version_only(cached, report):
+    """True when the cached report text is report's bytes up to "version"."""
+    try:
+        old = json.loads(cached)
+    except ValueError:
+        return False
+    return (isinstance(old, dict) and
+            cli._report_json({**old, "version": report["version"]})
+            == cli._report_json(report))
+
+
+def _int_list(text):
+    return [int(x) for x in text.split(",") if x]
+
+
+def _entry(point):
+    return dict(zip(("p", "f", "ell", "n"), point))
+
+
+def _sweep_point(point, checks, cache_dir, work_limit):
+    """One grid point of a sweep: its summary entry and exit status.  An
+    OSError (a cache that cannot be read or written) propagates."""
+    p, f, ell, n = point
+    entry = _entry(point)
+    try:
+        cli._check_work_limit(p, f, n, work_limit)
+        ctx = make_context(p, f, ell)
+    except ValueError as exc:
+        entry.update(status="error", error=str(exc))
+        return entry, 2
+    report = cli._report_or_failure(ctx, n, checks)
+    if not report["summary"]["all_pass"]:
+        if "failed" in report:
+            entry["failed"] = report["failed"]
+        entry["status"] = "failed"
+        return entry, 1
+    key = f"p{p}_f{f}_ell{ell}_n{n}_" + "-".join(sorted(checks))
+    path = os.path.join(cache_dir, key + ".json")
+    text = cli._report_json(report)
+    if not os.path.exists(path):
+        cli._emit(text, path)
+        entry["status"] = "new"
+        return entry, 0
+    with open(path) as fh:
+        cached = fh.read()
+    if cached == text:
+        entry["status"] = "match"
+    elif _differs_in_version_only(cached, report):
+        entry["status"] = "version_changed"
+    else:
+        entry["status"] = "regression"
+        return entry, 1
+    return entry, 0
+
+
+def run_grid(args):
+    """The sweep command: writes the summary of every grid point and
+    returns the worst exit status."""
+    cache_dir = args.cache_dir or os.environ.get("SP_BAW_CACHE_DIR")
+    if not cache_dir:
+        raise ValueError("sweep needs --cache-dir or SP_BAW_CACHE_DIR")
+    checks = cli._parse_checks(args.checks)
+    os.makedirs(cache_dir, exist_ok=True)
+    points = list(product(*map(_int_list, (args.p, args.f, args.ell, args.n))))
+    results = run_sharded(
+        points, shards(points, args.jobs, args.work_limit),
+        lambda point: _sweep_point(point, checks, cache_dir, args.work_limit))
+    entries = [entry for entry, _ in results]
+    summary = {"version": __version__, "cache_dir": cache_dir,
+               "configs": entries,
+               "regressions": sum(1 for r in entries
+                                  if r["status"] in ("regression", "failed"))}
+    cli._emit(cli._report_json(summary), args.out)
+    return max((status for _, status in results), default=0)

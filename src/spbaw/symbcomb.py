@@ -2,8 +2,8 @@
 
 A symbol is an unordered pair [X, Y] of beta-sets up to simultaneous
 shift; the normal form is fully shift-reduced (0 is never in both rows)
-with the two rows stored in sorted order.  rank, defect and degeneracy
-are computed on the normal form.
+with the two rows stored in sorted order.  rank and degeneracy are
+computed on the normal form.
 
 Hooks and cohooks both become single-runner abacus moves after the right
 track decomposition: a bead x sits at height h = x // e on runner
@@ -82,11 +82,6 @@ def rank(sym):
     return sum(a) + sum(b) - (n - 1) ** 2 // 4 if n else 0
 
 
-def defect(sym):
-    a, b = sym
-    return abs(len(a) - len(b))
-
-
 def is_degenerate(sym):
     """Equal rows; by convention the empty symbol counts as degenerate."""
     return sym[0] == sym[1]
@@ -144,10 +139,6 @@ def sym_core_quotient(sym, e, mode):
     return core, tuple(sorted((A, B)))
 
 
-def quotient_size(pair):
-    return sum(sum(p) for tup in pair for p in tup)
-
-
 def is_pair_degenerate(pair):
     return pair[0] == pair[1]
 
@@ -185,12 +176,6 @@ def from_core_quotient_sym(core, pair, e, mode):
     return out
 
 
-def orientation_of(sym, e, mode):
-    """0 if the chain-0 tuple is the canonically smaller one, else 1."""
-    _, A, B = _extract(sym, e, mode)
-    return 0 if (A, B) == tuple(sorted((A, B))) else 1
-
-
 def star_plain(core, pair, orient, e, mode):
     """The reconstruction kappa * (Q, orient): orientation 0 puts the
     canonically smaller tuple on chain 0.  orient-independent when the core
@@ -199,24 +184,6 @@ def star_plain(core, pair, orient, e, mode):
     if orient % 2:
         A, B = B, A
     return _attach(core, A, B, e, mode)
-
-
-def enumerate_quotient_pairs(e, w):
-    """All unordered pairs [A; B] of e-tuples of partitions, |A|+|B| = w."""
-    out = set()
-    for wa in range(w + 1):
-        for A in enumerate_tuples(e, wa):
-            for B in enumerate_tuples(e, w - wa):
-                out.add(tuple(sorted((A, B))))
-    return sorted(out)
-
-
-def symbols_with_core(core, w, e, mode):
-    """All symbols with the given e-core and quotient of total size w."""
-    out = []
-    for pair in enumerate_quotient_pairs(e, w):
-        out.extend(from_core_quotient_sym(core, pair, e, mode))
-    return sorted(out)
 
 
 def enumerate_symbols(rank_n, defect_pred=None):

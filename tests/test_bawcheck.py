@@ -5,6 +5,7 @@ import pytest
 from spbaw import bawcheck as bc, labelspace as ls, symbcomb
 from spbaw.bawcheck import DIAGONAL, FIELD
 from spbaw.fieldctx import make_context
+import testonly
 
 
 CTX35 = make_context(3, 1, 5)
@@ -165,8 +166,9 @@ def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
     counted(partcomb, "enumerate_core_towers")
     for name in ("weight_of", "k_to_q", "enumerate_ibr_universe"):
         counted(ls, name)
-    for name in ("enumerate_symbols", "symbols_with_core", "from_core_quotient_sym"):
+    for name in ("enumerate_symbols", "from_core_quotient_sym"):
         counted(symbcomb, name)
+    counted(testonly, "symbols_with_core")
     ls._core_towers.cache_clear()
     ls._tower_tuples.cache_clear()
     ls._component_table.cache_clear()
@@ -213,18 +215,18 @@ def test_field_action_preserves_block_membership():
     for ctx, n in [(CTX35, 1), (CTX925, 1)]:
         for ib in all_ibrs(ctx, n):
             moved = bc.act_on_ibr(ctx, FIELD(1), ib)
-            assert ls.block_of_ibr(ctx, moved) == \
-                bc.act_on_block(ctx, FIELD(1), ls.block_of_ibr(ctx, ib))
+            assert testonly.block_of_ibr(ctx, moved) == \
+                bc.act_on_block(ctx, FIELD(1), testonly.block_of_ibr(ctx, ib))
 
 
 def test_field_orbits_divide_f():
     for ctx, n in [(CTX35, 1), (CTX925, 1)]:
         labels = ls.enumerate_semisimple(ctx, n)
-        sizes = bc.orbit_sizes(labels, lambda s: bc.act_on_semisimple(ctx, FIELD(1), s))
+        sizes = testonly.orbit_sizes(labels, lambda s: bc.act_on_semisimple(ctx, FIELD(1), s))
         assert all(ctx.f % k == 0 for k in sizes)
     # over F_9 at least one orbit is nontrivial
     labels = ls.enumerate_semisimple(CTX925, 1)
-    sizes = bc.orbit_sizes(labels, lambda s: bc.act_on_semisimple(CTX925, FIELD(1), s))
+    sizes = testonly.orbit_sizes(labels, lambda s: bc.act_on_semisimple(CTX925, FIELD(1), s))
     assert 2 in sizes
 
 
@@ -267,17 +269,17 @@ def test_orbit_size_multisets_match():
         weights = [w for b in ls.enumerate_blocks(ctx, n)
                    for w in ls.enumerate_weights_q(ctx, b)]
         for a in (FIELD(1), DIAGONAL):
-            si = bc.orbit_sizes(ibrs, lambda x: bc.act_on_ibr(ctx, a, x))
-            sw = bc.orbit_sizes(weights, lambda x: bc.act_on_weight(ctx, a, x))
+            si = testonly.orbit_sizes(ibrs, lambda x: bc.act_on_ibr(ctx, a, x))
+            sw = testonly.orbit_sizes(weights, lambda x: bc.act_on_weight(ctx, a, x))
             assert si == sw
 
 
 def test_radical_shape_field_invariance():
     for b in ls.enumerate_blocks(CTX925, 1):
         for wk in ls.enumerate_weights_k(CTX925, b):
-            shape = ls.radical_shape(CTX925, wk)
+            shape = testonly.radical_shape(CTX925, wk)
             moved = bc.act_on_weight(CTX925, FIELD(1), wk)
-            moved_shape = ls.radical_shape(CTX925, moved)
+            moved_shape = testonly.radical_shape(CTX925, moved)
             # the shape is carried along the divisor relabeling
             from spbaw.ffpoly import frobenius_class
             expect = tuple(sorted((frobenius_class(pc, 1, CTX925), d, br, t)

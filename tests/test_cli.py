@@ -11,7 +11,9 @@ import pytest
 
 from spbaw import __version__, cli
 from spbaw.cli import main
+from spbaw.fieldctx import make_context
 from spbaw.labelspace import CheckFailed
+from test_benchmark_contract import GOLDEN
 from test_lregular_count import ell_regular_counts
 
 
@@ -770,3 +772,72 @@ def test_out_through_a_symlink_writes_its_target(tmp_path, target_exists):
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert json.loads(target.read_text())["summary"]["all_pass"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+
+def _dumps(d):
+    return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _full_report(p, f, ell, n):
+    return cli._report_or_failure(make_context(p, f, ell), n, set(cli.ALL_CHECKS))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_json_is_json_dumps_on_golden_reports(key):
+    report = _full_report(*map(int, key.split(",")))
+    assert report["blocks"] and cli._report_json(report) == _dumps(report)
+
+
+def test_report_json_is_json_dumps_on_any_dict(monkeypatch):
+    def fault(ctx, n, checks):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setattr(cli, "_build_report", fault)
+    failed = _full_report(3, 1, 5, 1)
+    assert failed["blocks"] == [] and "failed" in failed
+    summary = {"version": __version__, "cache_dir": "cache", "regressions": 0,
+               "configs": [{"p": 3, "f": 1, "ell": 5, "n": 1, "status": "new"}]}
+    for d in (failed, summary,
+              {"blocks": [{"b": 1, "a": [2, {"d": None, "c": True}]}, {}]},
+              {"blocks": []},
+              {"a": 1, "blocks": [{"x": 1}], "z": 2},
+              {"B": 1, "blocks": [{"x": 1}]},
+              {"blocks": {"b": [1], "a": 2}, "c": 3},
+              {"blocks": ({"x": 1},), "n": 1},
+              {"blocks": "text"}):
+        assert cli._report_json(d) == _dumps(d), d
+
+
+def test_block_records_share_their_fragments():
+    # one fragment per semisimple label and per divisor class, whichever
+    # record, entry or field holds it
+    records = _full_report(3, 1, 5, 2)["blocks"]
+    by_label = {}
+    for rec in records:
+        by_label.setdefault(_dumps(rec["s"]), []).append(rec["s"])
+    shared = [group for group in by_label.values() if len(group) > 1]
+    assert shared
+    for group in shared:
+        assert all(s is group[0] for s in group)
+    classes = {}
+    for rec in records:
+        for frag, _ in rec["s"]["mult"] + rec["kappa"] + rec["w"]:
+            classes.setdefault(_dumps(frag), set()).add(id(frag))
+    assert len(classes) > 1
+    assert all(len(ids) == 1 for ids in classes.values())
+
+
+def test_report_encoding_holds_a_few_copies_of_its_text():
+    # tracemalloc's peak while a report is encoded, against the text's
+    # length: the block records are encoded one at a time
+    import tracemalloc
+
+    report = _full_report(3, 1, 13, 3)
+    cli._report_json(report)
+    tracemalloc.start()
+    try:
+        text = cli._report_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text), (peak, len(text))

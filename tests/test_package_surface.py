@@ -9,11 +9,9 @@ import spbaw
 
 # Wrapped by perfbench/tracer.py's LAYERS; the package no longer calls them.
 TRACER_ONLY = {"classify", "enumerate_irreducibles", "enumerate_ibr_universe",
-               "star_plain"}
-# References and helpers of the tests, until they move out of the package.
-TESTS_ONLY = {"block_of_ibr", "symbols_with_core", "defect", "enumerate_e_cores",
-              "orbit_sizes", "orientation_of", "q_to_k", "quotient_size",
-              "radical_shape", "tower_weighted_size"}
+               "from_core_quotient_sym", "star_plain"}
+# References and helpers of the tests live in tests/testonly.py.
+TESTS_ONLY = set()
 
 
 def unreferenced(package_dir):

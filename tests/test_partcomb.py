@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
 from spbaw import partcomb as pc
+import testonly
 
 
 def random_partition(rng, max_size=18):
@@ -155,19 +158,19 @@ def test_enumerate_tuples():
 
 
 def test_enumerate_e_cores():
-    cores = pc.enumerate_e_cores(2, 6)
+    cores = testonly.enumerate_e_cores(2, 6)
     assert cores == [(), (1,), (2, 1), (3, 2, 1)]
 
 
 def test_core_tower_examples():
-    assert pc.core_tower((), 3) == ()
-    assert pc.core_tower((1,), 3) == (((1,),),)
+    assert testonly.core_tower((), 3) == ()
+    assert testonly.core_tower((1,), 3) == (((1,),),)
     rng = random.Random(5)
     for _ in range(1000):
         p = random_partition(rng)
         ell = rng.choice([2, 3, 5])
-        tw = pc.core_tower(p, ell)
-        assert pc.tower_weighted_size(tw, ell) == sum(p)
+        tw = testonly.core_tower(p, ell)
+        assert testonly.tower_weighted_size(tw, ell) == sum(p)
         assert pc.tower_to_partition(tw, ell) == p
 
 
@@ -176,9 +179,32 @@ def test_tower_round_trip_other_direction():
         for v in range(6):
             for tw in pc.enumerate_core_towers(ell, v):
                 p = pc.tower_to_partition(tw, ell)
-                assert pc.core_tower(p, ell) == tw
+                assert testonly.core_tower(p, ell) == tw
                 assert sum(p) == v
 
+
+
+# Under python -O a tower whose level d lacks ell^d entries would be read
+# as some other tower; both checks raise, not assert.
+@pytest.mark.parametrize("tower,message",
+                         [((((),), ((1,),)), "malformed tower level 1"),
+                          ((((),), ((3,), (), ())), "must be 3-cores")],
+                         ids=["level_width", "not_a_core"])
+def test_malformed_tower_is_refused_under_python_O(tower, message):
+    script = f"""
+import sys
+if __debug__:
+    sys.exit(3)
+from spbaw.partcomb import tower_to_partition
+try:
+    print(tower_to_partition({tower!r}, 3))
+except ValueError as exc:
+    print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout, proc.stdout
 
 def test_enumerate_core_towers_counts_match_partitions():
     # towers of weighted size v biject with partitions of v
