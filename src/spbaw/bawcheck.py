@@ -174,26 +174,34 @@ def act_on_weight(ctx, action, w):
 # verification
 
 class BlockTable(namedtuple("BlockTable", "pairs weights_q weights_k k_images")):
-    """A block's values, each computed once: each Brauer label with its
-    weight label in pairs (a list, so a label listed twice counts twice),
-    the Q and K weight labels, and k_images, the Q form of each K weight
-    label."""
+    """One block's labels, each computed once: its Brauer labels with their
+    weight labels in pairs (block_pairs), the Q and K weight labels, and
+    k_images, the Q form of each K weight label.  verify builds one
+    block's table at a time, checks it and drops it before the next."""
     __slots__ = ()
 
 
-def block_table(ctx, block):
+def block_pairs(ctx, block):
+    """Each Brauer label of block with its weight label, in a list, so that
+    a label listed twice counts twice; a weight outside block is a failed
+    check."""
     pairs = [(ib, brauer_to_weight(ctx, ib)) for ib in ls.enumerate_ibr(ctx, block)]
     for ib, w in pairs:
         if w.block != block:
             raise CheckFailed(f"{ib} maps into {w.block}, not its block {block}")
+    return pairs
+
+
+def block_table(ctx, block, pairs):
+    """The table of block around its block_pairs: the weight side."""
     weights_k = ls.enumerate_weights_k(ctx, block)
     return BlockTable(pairs, ls.enumerate_weights_q(ctx, block), weights_k,
                       [ls.k_to_q(ctx, wk) for wk in weights_k])
 
 
-def bijection_of(tables):
-    """The bijection on every Brauer label of the given block tables."""
-    return {ib: w for t in tables for ib, w in t.pairs}
+def bijection_of(pairs_per_block):
+    """The bijection on every Brauer label of the given blocks' pairs."""
+    return {ib: w for pairs in pairs_per_block for ib, w in pairs}
 
 
 def verify_block(ctx, table):
@@ -256,18 +264,39 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators):
 
 
 def verify_action_laws(ctx, ibrs, weights_q):
-    """diagonal^2 = id, field(i)field(j) = field(i+j), and commutation,
-    as identities of maps on the given Brauer and Q-form weight labels.
-    Each label's images under diagonal and field(1) are computed once."""
-    f1, d = FIELD(1), DIAGONAL
-    for act, labels in ((act_on_ibr, ibrs), (act_on_weight, weights_q)):
+    """The first violation of diagonal^2 = id, field(1)^2 = field(2),
+    field(0) = id, field(f) = id or the commutation of diagonal and
+    field(1), as identities of maps on the given Brauer and Q-form weight
+    labels: {"law", and "ibr" or "weight"}; None when every law holds."""
+    gens = FIELD(1), DIAGONAL, FIELD(2), FIELD(0), FIELD(ctx.f)
+    for key, act, labels in (("ibr", act_on_ibr, ibrs),
+                             ("weight", act_on_weight, weights_q)):
         for x in labels:
-            dx, fx = act(ctx, d, x), act(ctx, f1, x)
-            check(act(ctx, d, dx) == x, "diagonal^2 != id")
-            check(act(ctx, f1, fx) == act(ctx, FIELD(2), x),
-                  "field(1)^2 != field(2)")
-            check(act(ctx, FIELD(0), x) == x, "field(0) != id")
-            check(act(ctx, FIELD(ctx.f), x) == x, "field(f) != id")
-            dfx = dx if fx is x else act(ctx, d, fx)
-            check(dfx == act(ctx, f1, dx), "diagonal and field(1) do not commute")
-    return True
+            law = _broken_law(ctx, act, gens, x)
+            if law is not None:
+                label = (ls.ibr_jsonable(x) if key == "ibr"
+                         else ls.weight_q_jsonable(ctx, x))
+                return {"law": law, key: label}
+    return None
+
+
+def _broken_law(ctx, act, gens, x):
+    """The first action law that fails on x, or None; a failed check inside
+    an action names itself.  x's images under diagonal and field(1) are
+    computed once."""
+    f1, d, f2, f0, ff = gens
+    try:
+        dx, fx = act(ctx, d, x), act(ctx, f1, x)
+        if act(ctx, d, dx) != x:
+            return "diagonal^2 = id"
+        if act(ctx, f1, fx) != act(ctx, f2, x):
+            return "field(1)^2 = field(2)"
+        if act(ctx, f0, x) != x:
+            return "field(0) = id"
+        if act(ctx, ff, x) != x:
+            return "field(f) = id"
+        if (dx if fx is x else act(ctx, d, fx)) != act(ctx, f1, dx):
+            return "diagonal field(1) = field(1) diagonal"
+    except CheckFailed as exc:
+        return str(exc)
+    return None

@@ -472,11 +472,22 @@ def semisimple_jsonable(s):
             "eta_plus": s.eta_plus, "eta_minus": s.eta_minus}
 
 
+@lru_cache(maxsize=None)
+def _kappa_jsonable(kappa):
+    return [[poly_jsonable(pc), value_jsonable(v)] for pc, v in kappa]
+
+
+@lru_cache(maxsize=None)
+def _weights_jsonable(weights):
+    return [[poly_jsonable(pc), w] for pc, w in weights]
+
+
 def block_jsonable(ctx, b):
-    return {"s": semisimple_jsonable(b.s),
-            "kappa": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in b.kappa],
+    """A fresh record dict, so that verify may add its results; its values
+    are shared fragments."""
+    return {"s": semisimple_jsonable(b.s), "kappa": _kappa_jsonable(b.kappa),
             "i": b.i, "i_collapsed": b.i_collapsed,
-            "w": [[poly_jsonable(pc), w] for pc, w in block_weights(ctx, b)]}
+            "w": _weights_jsonable(block_weights(ctx, b))}
 
 
 def ibr_jsonable(label):

@@ -63,8 +63,10 @@ class LSymbol(tuple):
     def __new__(cls, row_a=(), row_b=()):
         a = tuple(sorted(row_a, reverse=True))
         b = tuple(sorted(row_b, reverse=True))
-        assert len(set(a)) == len(a) and len(set(b)) == len(b), "rows must have distinct entries"
-        assert all(x >= 0 for x in a + b)
+        if len(set(a)) != len(a) or len(set(b)) != len(b):
+            raise ValueError(f"symbol rows {a}, {b} must have distinct entries")
+        if min(a + b, default=0) < 0:
+            raise ValueError(f"symbol rows {a}, {b} must have no negative entry")
         (a, b), _ = _reduce_rows(a, b)
         return tuple.__new__(cls, sorted((a, b)))
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -435,9 +437,15 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
     if broken == "invariants_ok":
         assert not all(invariants)
         assert summary["action_laws_ok"] is True
+        assert "action_laws_witness" not in summary
     else:
         assert all(invariants)
         assert summary["action_laws_ok"] is False
+        # both faults break field(1)^2 = field(2) on the first Brauer
+        # label that field(1) does not fix
+        witness = summary["action_laws_witness"]
+        assert witness["law"] == "field(1)^2 = field(2)"
+        assert witness["ibr"]["s"] in [rec["s"] for rec in report["blocks"]]
 
 
 # Every X-1 and X+1 entry built with its two chains the other way round:
@@ -825,6 +833,13 @@ def test_block_records_share_their_fragments():
             classes.setdefault(_dumps(frag), set()).add(id(frag))
     assert len(classes) > 1
     assert all(len(ids) == 1 for ids in classes.values())
+    # one kappa list per core assignment, one w list per weight assignment
+    for key in ("kappa", "w"):
+        lists = {}
+        for rec in records:
+            lists.setdefault(_dumps(rec[key]), set()).add(id(rec[key]))
+        assert len(lists) < len(records)
+        assert all(len(ids) == 1 for ids in lists.values())
 
 
 def test_report_encoding_holds_a_few_copies_of_its_text():
@@ -841,3 +856,85 @@ def test_report_encoding_holds_a_few_copies_of_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(text), (peak, len(text))
+
+
+class _WeakList(list):
+    """A list that a weak reference can follow."""
+
+
+def test_verify_holds_one_block_weight_side_at_a_time(monkeypatch):
+    # each block's Q and K weight lists are followed by weak reference:
+    # when a block's are built, no other block's are still alive
+    from spbaw import labelspace as ls
+
+    built, most = [], 0
+
+    def following(enumerate_weights):
+        def wrapper(ctx, block):
+            nonlocal most
+            out = _WeakList(enumerate_weights(ctx, block))
+            built.append((block, weakref.ref(out)))
+            most = max(most, len({b for b, ref in built if ref() is not None}))
+            return out
+        return wrapper
+
+    for name in ("enumerate_weights_q", "enumerate_weights_k"):
+        monkeypatch.setattr(ls, name, following(getattr(ls, name)))
+    report = _full_report(3, 1, 13, 3)
+    assert report["summary"]["all_pass"]
+    assert len({b for b, _ in built}) == len(report["blocks"]) > 100
+    assert most == 1
+
+
+def test_action_laws_check_every_label_of_the_rank_once(monkeypatch):
+    # over F_9 field(1) moves labels; the laws run block by block
+    from spbaw import bawcheck as bc, labelspace as ls
+
+    seen_ibr, seen_q = Counter(), Counter()
+    verify_action_laws = bc.verify_action_laws
+
+    def counting(ctx, ibrs, weights_q):
+        ibrs, weights_q = list(ibrs), list(weights_q)
+        seen_ibr.update(ibrs)
+        seen_q.update(weights_q)
+        return verify_action_laws(ctx, ibrs, weights_q)
+
+    monkeypatch.setattr(bc, "verify_action_laws", counting)
+    report = _full_report(3, 2, 5, 2)
+    assert report["summary"]["action_laws_ok"] is True
+    ctx = make_context(3, 2, 5)
+    blocks = ls.enumerate_blocks(ctx, 2)
+    ibrs = [ib for b in blocks for ib in ls.enumerate_ibr(ctx, b)]
+    weights_q = [w for b in blocks for w in ls.enumerate_weights_q(ctx, b)]
+    assert len(ibrs) == report["summary"]["universe_size"]
+    assert seen_ibr == Counter(ibrs) and set(seen_ibr.values()) == {1}
+    assert seen_q == Counter(weights_q) and set(seen_q.values()) == {1}
+
+
+def test_sweep_encodes_a_mismatched_report_once(tmp_path, monkeypatch):
+    # a cached text that differs is compared against the report's text:
+    # one encoding of the report, one of the cached dict
+    from spbaw import sweep
+
+    cache, point, checks = tmp_path / "cache", (5, 1, 3, 1), {"counts"}
+    cache.mkdir()
+    entry, code = sweep._sweep_point(point, checks, str(cache),
+                                     cli.DEFAULT_WORK_LIMIT)
+    assert (entry["status"], code) == ("new", 0)
+    cached = next(cache.iterdir())
+    text = cached.read_text()
+    calls = []
+    report_json = cli._report_json
+    monkeypatch.setattr(cli, "_report_json",
+                        lambda d: calls.append(d) or report_json(d))
+    for edited, status, want in (
+            (text.replace(f'"version":"{__version__}"', '"version":"0.0.0"'),
+             "version_changed", 0),
+            (text.replace('"n_ibr":1', '"n_ibr":2', 1), "regression", 1)):
+        assert edited != text
+        cached.write_text(edited)
+        calls.clear()
+        entry, code = sweep._sweep_point(point, checks, str(cache),
+                                         cli.DEFAULT_WORK_LIMIT)
+        assert (entry["status"], code) == (status, want)
+        assert len(calls) == 2

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -355,3 +357,24 @@ def test_extraction_of_a_small_symbol_at_large_e():
         core, A, B = sc._extract(sym, e, mode)
         assert core == sym and len(A) == len(B) == e
         assert set(A) == set(B) == {()}
+
+
+@pytest.mark.parametrize("rows,message",
+                         [(((1, 1), ()), "must have distinct entries"),
+                          (((2,), (0, -1)), "must have no negative entry")],
+                         ids=["repeated", "negative"])
+def test_malformed_symbol_is_refused_under_python_O(rows, message):
+    script = f"""
+import sys
+if __debug__:
+    sys.exit(3)
+from spbaw.symbcomb import LSymbol
+try:
+    print(LSymbol(*{rows!r}))
+except ValueError as exc:
+    print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout, proc.stdout
