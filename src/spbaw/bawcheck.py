@@ -56,7 +56,7 @@ def brauer_to_weight(ctx, ib):
             continue
         core, A, B = symbcomb._extract(lam, e, mode)
         kappa.append((pc, core))
-        if is_x_plus(pc, ctx):
+        if is_x_plus(pc):
             if not symbcomb.is_degenerate(core):
                 i, i_collapsed = ib.j, False
             elif symbcomb.is_degenerate(lam) and A != B:
@@ -79,9 +79,9 @@ def weight_to_brauer(ctx, wq):
     for pc, w in ls.block_weights(ctx, block):
         q = wq.q_of(pc)
         kappa = block.core_of(pc)
-        if q is None or len(q) != ls.branch_count(ctx, pc):
+        if q is None or len(q) != ls.branch_count(pc):
             raise ValueError(f"weight label carries {q} at {pc}: "
-                             f"expected {ls.branch_count(ctx, pc)} branches")
+                             f"expected {ls.branch_count(pc)} branches")
         if sum(sum(p) for p in q) != w:
             raise ValueError(f"branch sizes at {pc} do not sum to the "
                              f"block weight")
@@ -89,11 +89,11 @@ def weight_to_brauer(ctx, wq):
             entries.append((pc, partcomb.from_core_quotient(kappa, q)))
             continue
         A, B = q[:e], q[e:]
-        degenerate = is_x_plus(pc, ctx) and symbcomb.is_degenerate(kappa)
+        degenerate = is_x_plus(pc) and symbcomb.is_degenerate(kappa)
         if degenerate:
             j = int(A > B)
             A, B = sorted((A, B))
-        elif is_x_plus(pc, ctx) and block.i:
+        elif is_x_plus(pc) and block.i:
             A, B = B, A
         lam = symbcomb._attach(kappa, A, B, e, mode)
         entries.append((pc, lam))
@@ -122,7 +122,7 @@ def act_on_semisimple(ctx, action, s):
 @lru_cache(maxsize=None)
 def _field_on_semisimple(ctx, power, s):
     items = [(frobenius_class(pc, power, ctx), m) for pc, m in s.entries]
-    out = ls._make_semisimple(ctx, items, s.eta_plus)
+    out = ls._make_semisimple(items, s.eta_plus)
     check(out.eta_minus == s.eta_minus, "type signs are carried by the relabeling")
     return out
 
@@ -165,7 +165,7 @@ def act_on_weight(ctx, action, w):
     if action.kind == "field":
         entries = _relabel_assignment(ctx, action.power, entries)
     else:
-        entries = tuple((pc, _flip_half(v) if is_x_plus(pc, ctx) else v)
+        entries = tuple((pc, _flip_half(v) if is_x_plus(pc) else v)
                         for pc, v in entries)
     return type(w)(act_on_block(ctx, action, w.block), entries)
 

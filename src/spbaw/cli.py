@@ -86,19 +86,31 @@ def _run_blocks(ctx, n, blocks, checks):
             if violations:
                 rec["equivariance_witness"] = violations[0]
         if "invariants" in checks:
-            try:
-                weights = ls.block_weights(ctx, block)
-                ls.audit_block(ctx, block, weights, n)
-                for wq in table.k_images:
-                    ls.audit_weight_label(ctx, wq, weights)
-                rec["invariants_ok"] = True
-            except ls.CheckFailed:
-                rec["invariants_ok"] = False
+            witness = _invariants_witness(ctx, n, block, table.k_images)
+            rec["invariants_ok"] = witness is None
+            if witness is not None:
+                rec["invariants_witness"] = witness
             if laws_witness is None:
                 laws_witness = bc.verify_action_laws(
                     ctx, [ib for ib, _ in block_pairs], table.weights_q)
         del table   # one block's weight side is alive at a time
     return records, laws_witness
+
+
+def _invariants_witness(ctx, n, block, k_images):
+    """None when a block's audits pass; else the failed check's message,
+    with the weight label it failed on, in Q form, when that was one."""
+    weights, wq = ls.block_weights(ctx, block), None
+    try:
+        ls.audit_block(block, weights, n)
+        for wq in k_images:
+            ls.audit_weight_label(wq, weights)
+    except ls.CheckFailed as exc:
+        witness = {"message": str(exc)}
+        if wq is not None:
+            witness["weight"] = ls.weight_q_jsonable(ctx, wq)
+        return witness
+    return None
 
 
 def _passes(records, checks):

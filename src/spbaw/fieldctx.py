@@ -14,7 +14,8 @@ def order_mod(a, m):
     """Minimal k >= 1 with a^k = 1 mod m (m prime, a invertible mod m).
     k divides m - 1, so k starts there and each prime factor r of m - 1
     is divided out while a^(k/r) = 1 still holds."""
-    assert is_prime(m), f"modulus {m} is not prime"
+    if not is_prime(m):
+        raise ValueError(f"modulus {m} is not prime")
     a %= m
     if a == 0:
         raise ValueError("a must be invertible modulo m")
@@ -51,10 +52,7 @@ def make_context(p, f, ell):
         raise ValueError("ell must differ from p")
     q = p ** f
     e = order_mod(q * q % ell, ell)
-    if (pow(q, e, ell) - 1) % ell == 0:
-        epsilon = 1
-    else:
-        assert (pow(q, e, ell) + 1) % ell == 0
-        epsilon = -1
+    # (q^e)^2 = 1 mod the prime ell, so q^e is 1 or -1 there
+    epsilon = 1 if pow(q, e, ell) == 1 else -1
     get_field(p, f)     # build and check F_q here, not at first use
     return FieldContext(p=p, f=f, q=q, ell=ell, e=e, epsilon=epsilon)

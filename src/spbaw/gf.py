@@ -57,7 +57,8 @@ def poly_mul(a, b, gf):
 
 def poly_rem(a, m, gf):
     """Remainder of a modulo monic m."""
-    assert m[-1] == 1
+    if m[-1] != 1:
+        raise ValueError(f"modulus {m} is not monic")
     a = list(a)
     dm = poly_deg(m)
     for i in range(len(a) - 1, dm - 1, -1):
@@ -120,8 +121,10 @@ class GF:
     """
 
     def __init__(self, p, f=1):
-        assert is_prime(p), f"p = {p} is not prime"
-        assert f >= 1
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if f < 1:
+            raise ValueError(f"f = {f} must be at least 1")
         self.p = p
         self.f = f
         self.q = q = p ** f
@@ -175,7 +178,8 @@ class GF:
         return self._mul[a][b]
 
     def pow(self, a, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         if self.f == 1:
             return pow(a, n, self.p)
         out, base = 1, a
@@ -187,7 +191,8 @@ class GF:
         return out
 
     def inv(self, a):
-        assert a != 0, "zero has no inverse"
+        if a == 0:
+            raise ValueError("zero has no inverse")
         return self.pow(a, self.q - 2)
 
 

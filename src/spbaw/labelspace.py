@@ -34,15 +34,18 @@ def x_minus_class(ctx):
 
 @lru_cache(maxsize=None)
 def x_plus_class(ctx):
-    return ffpoly._class_of_factor(ffpoly.poly_x_plus_one(ctx), ctx)
+    return ffpoly._class_of_factor(ffpoly.poly_x_plus_one(), ctx)
 
 
-def is_x_minus(pc, ctx):
-    return pc.family == "F0" and pc.gamma == ffpoly.poly_x_minus_one(ctx)
+# In gf's integer encoding X+1 is (1, 1) over every F_q, and X-1, the other
+# F0 class, is (p - 1, 1): the two are told apart by their coefficients.
+
+def is_x_minus(pc):
+    return pc.family == "F0" and pc.gamma != (1, 1)
 
 
-def is_x_plus(pc, ctx):
-    return pc.family == "F0" and pc.gamma == ffpoly.poly_x_plus_one(ctx)
+def is_x_plus(pc):
+    return pc.family == "F0" and pc.gamma == (1, 1)
 
 
 def _value_at(entries, pc, default=None):
@@ -88,19 +91,15 @@ class SemisimpleLabel(namedtuple("SemisimpleLabel", "entries eta_plus eta_minus"
         return f"SemisimpleLabel({parts}; eta+={self.eta_plus}, eta-={self.eta_minus})"
 
 
-def eta_of_class(pc, mult):
-    """Type sign of the orthogonal summand for an F1/F2 divisor; forced by
-    the multiplicity."""
-    assert pc.family != "F0"
-    return pc.sign ** mult if pc.sign == -1 else 1
-
-
-def _make_semisimple(ctx, items, eta_plus):
+def _make_semisimple(items, eta_plus):
+    """The label of items with the sign eta_plus at X+1; the sign at X-1 is
+    the product of eta_plus and the type signs of the orthogonal summands
+    at F1/F2 divisors, each forced by its multiplicity."""
     items = tuple(sorted(items))
     prod = eta_plus if eta_plus is not None else 1
     for pc, m in items:
-        if pc.family != "F0":
-            prod *= eta_of_class(pc, m)
+        if pc.family != "F0" and pc.sign == -1:
+            prod *= (-1) ** m
     return SemisimpleLabel(entries=items, eta_plus=eta_plus, eta_minus=prod)
 
 
@@ -113,7 +112,8 @@ def enumerate_semisimple(ctx, n, ell_prime_only=True):
 
 @lru_cache(maxsize=None)
 def _enumerate_semisimple_cached(ctx, n, ell_prime_only):
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"rank n = {n} must be at least 1")
     dim = 2 * n + 1
     xm, xp = x_minus_class(ctx), x_plus_class(ctx)
     others = [pc for pc in ffpoly.enumerate_classes(ctx, dim - 1, ell_prime_only)
@@ -132,9 +132,9 @@ def _enumerate_semisimple_cached(ctx, n, ell_prime_only):
                 if m_plus:
                     items = items + [(xp, m_plus)]
                     for eta in (1, -1):
-                        out.append(_make_semisimple(ctx, items, eta))
+                        out.append(_make_semisimple(items, eta))
                 else:
-                    out.append(_make_semisimple(ctx, items, None))
+                    out.append(_make_semisimple(items, None))
         for idx in range(start, len(others)):
             pc = others[idx]
             if pc.deg > budget - 1:
@@ -167,11 +167,11 @@ _DEFECTS = {"odd": lambda d: d % 2 == 1,
             "mod4_2": lambda d: d % 4 == 2}
 
 
-def _defect_tag(ctx, pc, eta_plus):
+def _defect_tag(pc, eta_plus):
     """The defect class of the symbols at X-1 (odd) or X+1 (0 mod 4, or
     2 mod 4 when eta_plus is -1).  X+1 outside the support has rank 0,
     where the empty symbol is the only one of defect 0 mod 4."""
-    if is_x_minus(pc, ctx):
+    if is_x_minus(pc):
         return "odd"
     return "mod4_2" if eta_plus == -1 else "mod4_0"
 
@@ -207,22 +207,22 @@ def _component_key(ctx, s, pc):
     m = s.mult(pc)
     if pc.family != "F0":
         return ("partition", m, pc.e_gamma, None)
-    return (_defect_tag(ctx, pc, s.eta_plus), m // 2, ctx.e, ctx.mode)
+    return (_defect_tag(pc, s.eta_plus), m // 2, ctx.e, ctx.mode)
 
 
-def _core_share(ctx, pc, core):
+def _core_share(pc, core):
     """The part of the multiplicity at pc that the core takes: its size at
     F1/F2, twice its rank at X+1, and one more at X-1."""
     if pc.family != "F0":
         return sum(core)
-    return 2 * symbcomb.rank(core) + (1 if is_x_minus(pc, ctx) else 0)
+    return 2 * symbcomb.rank(core) + (1 if is_x_minus(pc) else 0)
 
 
-def weight_of(ctx, block, pc):
+def weight_of(block, pc):
     """The weight w_Gamma: the multiplicity less the core's share, in steps
     of branch_count."""
     m, core = block.s.mult(pc), block.core_of(pc)
-    lhs, step = m - _core_share(ctx, pc, core), branch_count(ctx, pc)
+    lhs, step = m - _core_share(pc, core), branch_count(pc)
     if lhs < 0 or lhs % step:
         raise ValueError(f"no nonnegative integer weight at {pc}: m={m}, core={core}")
     return lhs // step
@@ -232,7 +232,7 @@ def weight_of(ctx, block, pc):
 def block_weights(ctx, block):
     """((pc, w_Gamma), ...) over block_classes: a block's weights, computed
     once per block for its label enumerators, its report and its checks."""
-    return tuple((pc, weight_of(ctx, block, pc)) for pc in block_classes(ctx, block.s))
+    return tuple((pc, weight_of(block, pc)) for pc in block_classes(ctx, block.s))
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +315,7 @@ def enumerate_ibr_universe(ctx, n):
             if pc.family != "F0":
                 vals = partcomb.enumerate_partitions(m)
             else:
-                tag = _defect_tag(ctx, pc, s.eta_plus)
+                tag = _defect_tag(pc, s.eta_plus)
                 vals = symbcomb.enumerate_symbols(m // 2, _DEFECTS[tag])
             per_class.append([(pc, v) for v in vals])
         for lam in product(*per_class):
@@ -365,7 +365,7 @@ class WeightLabelK(_Label, namedtuple("WeightLabelK", "block k")):
     __slots__ = ()
 
 
-def branch_count(ctx, pc):
+def branch_count(pc):
     """beta * e_Gamma: an F0 class carries e_Gamma = e."""
     return pc.beta * pc.e_gamma
 
@@ -373,7 +373,7 @@ def branch_count(ctx, pc):
 def _weight_labels(ctx, block, label_cls, tuples_of):
     """One label_cls(block, entries) per choice of a branch_count-tuple
     tuples_of(k, w_Gamma) at every divisor."""
-    per_class = [[(pc, t) for t in tuples_of(branch_count(ctx, pc), w)]
+    per_class = [[(pc, t) for t in tuples_of(branch_count(pc), w)]
                  for pc, w in block_weights(ctx, block)]
     return sorted(label_cls(block, x) for x in product(*per_class))
 
@@ -417,7 +417,7 @@ def k_to_q(ctx, wk):
     return WeightLabelQ(block=wk.block, q=q)
 
 
-def audit_block(ctx, block, weights, n):
+def audit_block(block, weights, n):
     """Dimension bookkeeping for a block with weights block_weights(ctx,
     block), once for all its weight labels: the multiplicity at every
     divisor splits into the core part plus beta * e_Gamma per unit of
@@ -425,16 +425,14 @@ def audit_block(ctx, block, weights, n):
     dim = 0
     for pc, w in weights:
         m = block.s.mult(pc)
-        displaced = w * branch_count(ctx, pc)
-        check(m == _core_share(ctx, pc, block.core_of(pc)) + displaced,
+        check(m == _core_share(pc, block.core_of(pc)) + w * branch_count(pc),
               "multiplicity is not core plus e_Gamma * weight")
-        check(m - displaced >= 0, "weight exceeds available multiplicity")
         dim += m * pc.deg
     check(dim == 2 * n + 1, "dimensions do not fill 2n+1")
     return True
 
 
-def audit_weight_label(ctx, wq, weights):
+def audit_weight_label(wq, weights):
     """The branches of a Q-form weight label sum to its block's weights
     ((pc, w_Gamma), ...) at every divisor."""
     check(tuple((pc, sum(sum(p) for p in fam)) for pc, fam in wq.q) == weights,

@@ -24,7 +24,8 @@ def partition_of_beta(beta):
     """Inverse of beta_set for a set of distinct naturals."""
     b = tuple(sorted(beta, reverse=True))
     n = len(b)
-    assert all(x > y for x, y in zip(b, b[1:])), f"beads must be distinct: {beta}"
+    if any(x == y for x, y in zip(b, b[1:])):
+        raise ValueError(f"beads must be distinct: {beta}")
     parts = tuple(b[i] - (n - 1 - i) for i in range(n))
     return tuple(a for a in parts if a > 0)
 
@@ -46,7 +47,8 @@ def e_core_quotient(p, e):
     """The e-core and ordered e-quotient of p, read on the runners holding
     beads of its beta-set of length len(p): runner r is quotient slot
     (r - len(p)) % e, its runner on a beta-set of length a multiple of e."""
-    assert e >= 1
+    if e < 1:
+        raise ValueError(f"e = {e} must be at least 1")
     k = len(p)
     runners = abacus((beta_set(p, k),), e)
     quotient = [()] * e
@@ -73,7 +75,8 @@ def from_core_quotient(core, quotient):
     holding beads of the core's beta-set, lengthened by e per part of the
     longest entry, takes the beta-set of its slot's entry."""
     e = len(quotient)
-    assert e >= 1
+    if e < 1:
+        raise ValueError("the quotient must have at least one entry")
     if not is_e_core(core, e):
         raise ValueError(f"{core} is not a {e}-core")
     length = len(core) + e * max(map(len, quotient))
@@ -113,7 +116,8 @@ def tower_to_partition(tower, ell):
 
 def enumerate_partitions(m):
     """All partitions of m, largest-part-first lexicographic order."""
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"cannot partition {m}")
     out = []
 
     def rec(rest, maxpart, prefix):
@@ -135,7 +139,8 @@ def weighted_tuples(k, w, items_of):
     slot taking the rest.  A depth-first walk on an explicit stack, so no
     frame per slot; once the weight is spent the remaining slots are one
     product over items_of(0)."""
-    assert k >= 0 and w >= 0
+    if k < 0 or w < 0:
+        raise ValueError(f"k = {k} and w = {w} must be nonnegative")
     items = [tuple(items_of(s)) for s in range(w + 1)]
     out = []
     stack = [((), w)]
@@ -160,7 +165,8 @@ def enumerate_tuples(k, w):
 def enumerate_core_towers(ell, v):
     """All ell-core towers of weighted size v, enumerated from the level
     structure directly (independent of the partition correspondence)."""
-    assert v >= 0
+    if v < 0:
+        raise ValueError(f"weighted size {v} must be nonnegative")
     if v == 0:
         return [()]
     vectors = []

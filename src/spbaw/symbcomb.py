@@ -95,6 +95,11 @@ def shift_rows(rows, t):
                  for row in rows)
 
 
+def _check_mode(mode):
+    if mode not in (HOOK, COHOOK):
+        raise ValueError(f"unknown mode {mode!r}: not {HOOK!r} or {COHOOK!r}")
+
+
 def _untracks(tr, e, mode):
     rows = ([], [])
     for (r, side), heights in tr.items():
@@ -136,7 +141,7 @@ def _extract(sym, e, mode):
 
 def sym_core_quotient(sym, e, mode):
     """The e-core and unordered e-quotient pair of the symbol."""
-    assert mode in (HOOK, COHOOK)
+    _check_mode(mode)
     core, A, B = _extract(sym, e, mode)
     return core, tuple(sorted((A, B)))
 
@@ -149,7 +154,7 @@ def is_pair_degenerate(pair):
 def _attach(core, first, second, e, mode):
     """The symbol with e-core `core`, chain 0 carrying `first` and chain 1
     carrying `second`; re-extracted before it is returned."""
-    assert mode in (HOOK, COHOOK)
+    _check_mode(mode)
     needed = max(map(len, first + second), default=0)
     tr = abacus(shift_rows(core, 2 * e * (needed + 1)), e, zigzag=mode == COHOOK)
     quot = {(r, side): p for side, tup in enumerate((first, second))
@@ -194,7 +199,8 @@ def enumerate_symbols(rank_n, defect_pred=None):
     and defect d are in bijection with the bipartitions (alpha, beta) of
     n - d^2 // 4: alpha on the longer row, beta on the shorter (Lusztig).
     At d = 0 the swapped pair gives the same symbol."""
-    assert rank_n >= 0
+    if rank_n < 0:
+        raise ValueError(f"rank {rank_n} must be nonnegative")
     out = set()
     d = 0
     while d * d // 4 <= rank_n:

@@ -62,7 +62,7 @@ def test_linear_prime_exercises_all_families():
     seen = set()
     for b in ls.enumerate_blocks(CTX73, 2):
         for pc in ls.block_classes(CTX73, b.s):
-            w = ls.weight_of(CTX73, b, pc)
+            w = ls.weight_of(b, pc)
             if w:
                 seen.add((pc.family, w))
     assert {("F0", 1), ("F0", 2), ("F1", 1), ("F2", 1)} <= seen
@@ -83,7 +83,7 @@ def test_degenerate_block_j_doubling():
     # the n=2 identity-class block with weight 1 at X-1: four Brauer labels
     xm = ls.x_minus_class(CTX35)
     blocks = [b for b in ls.enumerate_blocks(CTX35, 2)
-              if len(b.s.entries) == 1 and ls.weight_of(CTX35, b, xm) == 1]
+              if len(b.s.entries) == 1 and ls.weight_of(b, xm) == 1]
     assert len(blocks) == 1
     b = blocks[0]
     ibrs = ls.enumerate_ibr(CTX35, b)
@@ -365,7 +365,7 @@ def test_deep_core_towers_end_to_end():
     ctx = CTX53
     xm = ls.x_minus_class(ctx)
     blocks = [b for b in ls.enumerate_blocks(ctx, 3)
-              if ls.weight_of(ctx, b, xm) == 3]
+              if ls.weight_of(b, xm) == 3]
     assert blocks
     tables = {b: table_of(ctx, b) for b in ls.enumerate_blocks(ctx, 3)}
     bijection = bc.bijection_of(t.pairs for t in tables.values())
@@ -393,7 +393,7 @@ def test_e_three_modes_with_positive_weight(p, ell):
     assert ctx.e == 3
     blocks = ls.enumerate_blocks(ctx, 3)
     heavy = [b for b in blocks
-             if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
+             if any(ls.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert heavy
     tables = [table_of(ctx, b) for b in blocks]
     bijection = bc.bijection_of(t.pairs for t in tables)
@@ -412,7 +412,7 @@ def test_field_equivariance_where_the_action_moves_blocks():
     blocks = ls.enumerate_blocks(ctx, 2)
     moved = [b for b in blocks if bc.act_on_block(ctx, FIELD(1), b) != b]
     heavy = [b for b in blocks
-             if any(ls.weight_of(ctx, b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
+             if any(ls.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert len(moved) > len(blocks) // 2 and heavy
     for b in blocks:
         r = bc.verify_block(ctx, table_of(ctx, b))

@@ -374,8 +374,8 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 _BREAK_AUDIT = """
 import spbaw.labelspace as ls
 audit_weight_label = ls.audit_weight_label
-def skewed(ctx, wq, weights):
-    return audit_weight_label(ctx, wq, tuple((pc, w + 1) for pc, w in weights))
+def skewed(wq, weights):
+    return audit_weight_label(wq, tuple((pc, w + 1) for pc, w in weights))
 ls.audit_weight_label = skewed
 """
 _BREAK_ACTION_LAWS = """
@@ -398,7 +398,7 @@ sc._extract = skewed
 """
 _BREAK_FROBENIUS = """
 import spbaw.ffpoly as ff
-ff.frobenius = lambda g, i, ctx: ff.poly_x_plus_one(ctx)
+ff.frobenius = lambda g, i, ctx: ff.poly_x_plus_one()
 """
 _BREAK_CORES = """
 import spbaw.partcomb as pcb
@@ -436,6 +436,16 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
     invariants = [rec["invariants_ok"] for rec in report["blocks"]]
     if broken == "invariants_ok":
         assert not all(invariants)
+        for rec in report["blocks"]:
+            if rec["invariants_ok"]:
+                assert "invariants_witness" not in rec
+                continue
+            # a K weight label of the block, in Q form, whose audit failed
+            witness = rec["invariants_witness"]
+            assert witness["message"] == "branch sizes must sum to w"
+            assert witness["weight"]["block"] == {
+                k: rec[k] for k in ("s", "kappa", "i", "i_collapsed", "w")}
+            assert [pc for pc, _ in witness["weight"]["Q"]] == [pc for pc, _ in rec["w"]]
         assert summary["action_laws_ok"] is True
         assert "action_laws_witness" not in summary
     else:

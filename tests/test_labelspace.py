@@ -50,6 +50,18 @@ def test_semisimple_n1_q3():
     assert len(labels) == 4
 
 
+@pytest.mark.parametrize("p,f", [(p, f) for p in (3, 5, 7) for f in (1, 2)])
+def test_x_plus_and_x_minus_by_their_coefficients(p, f):
+    # X+1 encodes as (1, 1) and X-1 as (p - 1, 1), over F_(p^2) as well
+    ctx = make_context(p, f, 5 if p == 3 else 3)
+    xm, xp = ls.x_minus_class(ctx), ls.x_plus_class(ctx)
+    classes = ffpoly.enumerate_classes(ctx, 4)
+    assert xm in classes and xp in classes
+    for pc in classes:
+        assert ls.is_x_plus(pc) == (pc == xp), pc
+        assert ls.is_x_minus(pc) == (pc == xm), pc
+
+
 @pytest.mark.parametrize("ctx,n,flag", [
     (CTX35, 1, True), (CTX35, 2, True), (CTX35, 2, False),
     (CTX53, 1, True), (CTX53, 2, True),
@@ -87,7 +99,7 @@ def test_weight_of_examples():
     xm, xp = ls.x_minus_class(CTX35), ls.x_plus_class(CTX35)
     for b in blocks:
         for pc in ls.block_classes(CTX35, b.s):
-            w = ls.weight_of(CTX35, b, pc)
+            w = ls.weight_of(b, pc)
             core = b.core_of(pc)
             if pc.family != "F0":
                 assert b.s.mult(pc) == sum(core) + pc.e_gamma * w
@@ -98,9 +110,9 @@ def test_weight_of_examples():
     # identity class of SO_5(3): m at X-1 is 5; the three cocores of the
     # rank-2 odd-defect symbols carry weights 0, 0 and 1
     identity = [b for b in blocks if len(b.s.entries) == 1]
-    ws = sorted(ls.weight_of(CTX35, b, xm) for b in identity)
+    ws = sorted(ls.weight_of(b, xm) for b in identity)
     assert ws == [0, 0, 1]
-    heavy = [b for b in identity if ls.weight_of(CTX35, b, xm) == 1]
+    heavy = [b for b in identity if ls.weight_of(b, xm) == 1]
     assert heavy[0].core_of(xm) == LSymbol((0,), ())
     assert len(ls.enumerate_ibr(CTX35, heavy[0])) == 4
 
@@ -178,8 +190,8 @@ def test_weights_q_counts_product_formula():
         got = ls.enumerate_weights_q(CTX35, b)
         expect = 1
         for pc in ls.block_classes(CTX35, b.s):
-            w = ls.weight_of(CTX35, b, pc)
-            expect *= len(partcomb.enumerate_tuples(ls.branch_count(CTX35, pc), w))
+            w = ls.weight_of(b, pc)
+            expect *= len(partcomb.enumerate_tuples(ls.branch_count(pc), w))
         assert len(got) == expect
         assert len(set(got)) == len(got)
 
@@ -199,7 +211,7 @@ def test_weights_k_matches_q_and_round_trip():
 def test_all_w_zero_block_has_singletons():
     blocks = ls.enumerate_blocks(CTX35, 1)
     for b in blocks:
-        ws = [ls.weight_of(CTX35, b, pc) for pc in ls.block_classes(CTX35, b.s)]
+        ws = [ls.weight_of(b, pc) for pc in ls.block_classes(CTX35, b.s)]
         if all(w == 0 for w in ws):
             assert len(ls.enumerate_ibr(CTX35, b)) == 1
             assert len(ls.enumerate_weights_q(CTX35, b)) == 1
@@ -244,15 +256,15 @@ def test_radical_shape_and_audit():
     import json
     for b in ls.enumerate_blocks(CTX35, 2):
         weights = ls.block_weights(CTX35, b)
-        assert ls.audit_block(CTX35, b, weights, 2)
+        assert ls.audit_block(b, weights, 2)
         for wk in ls.enumerate_weights_k(CTX35, b):
             shape = testonly.radical_shape(CTX35, wk)
             total = {}
             for pc, d, br, t in shape:
                 total[pc] = total.get(pc, 0) + CTX35.ell ** d * t
             for pc in ls.block_classes(CTX35, b.s):
-                assert total.get(pc, 0) == ls.weight_of(CTX35, b, pc)
-            assert ls.audit_weight_label(CTX35, ls.k_to_q(CTX35, wk), weights)
+                assert total.get(pc, 0) == ls.weight_of(b, pc)
+            assert ls.audit_weight_label(ls.k_to_q(CTX35, wk), weights)
         json.dumps(ls.block_jsonable(CTX35, b))
 
 

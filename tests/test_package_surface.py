@@ -1,9 +1,15 @@
 """Every function and class in src/spbaw is reached from the package
 itself, or is on an explicit list of the names only the tests and the
-benchmark tracer call.  A second path that nothing runs fails here."""
+benchmark tracer call.  A second path that nothing runs fails here, as
+does a parameter that its function never reads, and an assert statement,
+which python -O would strip."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import spbaw
 
@@ -34,3 +40,62 @@ def unreferenced(package_dir):
 
 def test_every_definition_is_reached_or_listed():
     assert unreferenced(Path(spbaw.__file__).parent) == TRACER_ONLY | TESTS_ONLY
+
+
+def unread_parameters(package_dir):
+    """(module, function, parameter) for every parameter of a function or
+    lambda, self and cls excluded, that its body never reads."""
+    out = set()
+    for path in sorted(Path(package_dir).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            out.update((path.stem, name, p) for p in params
+                       if p not in ("self", "cls") and p not in read)
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(Path(spbaw.__file__).parent) == set()
+
+
+def test_no_assert_statement():
+    # python -O strips assert statements; every check raises explicitly
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(spbaw.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+@pytest.mark.parametrize("call", [
+    "gf.GF(9, 1)",
+    "fieldctx.order_mod(2, 9)",
+    "gf.GF(3, 1).inv(0)",
+    "partcomb.partition_of_beta((3, 3, 1))",
+    "symbcomb.sym_core_quotient(symbcomb.LSymbol((2, 0), (1,)), 2, 'bogus')",
+    "gf.GF(3, 2).pow(2, -1)",
+])
+def test_bad_argument_is_refused_under_python_O(call):
+    # each call once returned a wrong value, or never returned, under -O
+    script = f"""
+import sys
+if __debug__:
+    sys.exit(3)
+from spbaw import fieldctx, gf, partcomb, symbcomb
+try:
+    print("returned", repr({call}))
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError: "), proc.stdout
