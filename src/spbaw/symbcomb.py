@@ -95,11 +95,6 @@ def shift_rows(rows, t):
                  for row in rows)
 
 
-def _check_mode(mode):
-    if mode not in (HOOK, COHOOK):
-        raise ValueError(f"unknown mode {mode!r}: not {HOOK!r} or {COHOOK!r}")
-
-
 def _untracks(tr, e, mode):
     rows = ([], [])
     for (r, side), heights in tr.items():
@@ -120,7 +115,10 @@ def _pullback(r, side, u, e, mode):
 
 @lru_cache(maxsize=None)
 def _extract(sym, e, mode):
-    """(core, A, B): quotient tuples in absolute chain order (A = chain 0)."""
+    """(core, A, B): quotient tuples in absolute chain order (A = chain 0).
+    sym_core_quotient and _attach check their mode here."""
+    if mode not in (HOOK, COHOOK):
+        raise ValueError(f"unknown mode {mode!r}: not {HOOK!r} or {COHOOK!r}")
     tr = abacus(sym, e, zigzag=mode == COHOOK)
     quot = {k: partition_of_beta(v) for k, v in tr.items()}
     packed = {k: tuple(range(len(v) - 1, -1, -1)) for k, v in tr.items()}
@@ -141,7 +139,6 @@ def _extract(sym, e, mode):
 
 def sym_core_quotient(sym, e, mode):
     """The e-core and unordered e-quotient pair of the symbol."""
-    _check_mode(mode)
     core, A, B = _extract(sym, e, mode)
     return core, tuple(sorted((A, B)))
 
@@ -154,7 +151,6 @@ def is_pair_degenerate(pair):
 def _attach(core, first, second, e, mode):
     """The symbol with e-core `core`, chain 0 carrying `first` and chain 1
     carrying `second`; re-extracted before it is returned."""
-    _check_mode(mode)
     needed = max(map(len, first + second), default=0)
     tr = abacus(shift_rows(core, 2 * e * (needed + 1)), e, zigzag=mode == COHOOK)
     quot = {(r, side): p for side, tup in enumerate((first, second))
