@@ -336,17 +336,20 @@ def _component_count(key):
     return sum(len(_z2_indices(symbcomb.is_degenerate(v))) for v in members)
 
 
+def semisimple_ibr_count(ctx, s):
+    """The Brauer labels over the semisimple label s, counted: the product
+    of the component counts at its divisors.  Nothing is built."""
+    count = 1
+    for pc in block_classes(ctx, s):
+        count *= _component_count(_component_key(ctx, s, pc))
+    return count
+
+
 def universe_size(ctx, n):
-    """len(enumerate_ibr_universe(ctx, n)), counted: over each ell-regular
-    semisimple label, the product of the component counts at its
-    divisors.  Nothing is built."""
-    total = 0
-    for s in enumerate_semisimple(ctx, n, ell_prime_only=True):
-        count = 1
-        for pc in block_classes(ctx, s):
-            count *= _component_count(_component_key(ctx, s, pc))
-        total += count
-    return total
+    """len(enumerate_ibr_universe(ctx, n)), counted: semisimple_ibr_count
+    summed over the ell-regular semisimple labels."""
+    return sum(semisimple_ibr_count(ctx, s)
+               for s in enumerate_semisimple(ctx, n, ell_prime_only=True))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -370,7 +371,9 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 # bijection sees a symbol core that is not its block's, so a weight leaves
 # the block it is tabulated for; over F_9, the Frobenius image of every
 # polynomial is X+1, which leaves the family of the class it should move;
-# every partition has the empty e-core, which leaves a partial e-hook.
+# every partition has the empty e-core, which leaves a partial e-hook; the
+# universe counts one symbol too many at X-1 of rank 1, so (X-1)^3 has one
+# Brauer label more there than in its blocks.
 _BREAK_AUDIT = """
 import spbaw.labelspace as ls
 audit_weight_label = ls.audit_weight_label
@@ -404,6 +407,11 @@ _BREAK_CORES = """
 import spbaw.partcomb as pcb
 pcb.e_core = lambda lam, e: ()
 """
+_BREAK_PARTITION = """
+import spbaw.labelspace as ls
+count = ls._component_count
+ls._component_count = lambda key: count(key) + (key[:2] == ("odd", 1))
+"""
 
 
 @pytest.mark.parametrize("inject,broken,f,n",
@@ -412,9 +420,10 @@ pcb.e_core = lambda lam, e: ()
                           (_BREAK_FIELD_TWO, "action_laws_ok", 2, 1),
                           (_BREAK_BIJECTION, "CheckFailed", 1, 2),
                           (_BREAK_FROBENIUS, "AssertionError", 2, 1),
-                          (_BREAK_CORES, "AssertionError", 1, 1)],
+                          (_BREAK_CORES, "AssertionError", 1, 1),
+                          (_BREAK_PARTITION, "partition_ok", 1, 1)],
                          ids=["audit", "action_laws", "field_two", "bijection",
-                              "frobenius", "cores"])
+                              "frobenius", "cores", "partition"])
 def test_check_failures_survive_python_O(inject, broken, f, n):
     script = inject + f"""
 import sys
@@ -434,6 +443,18 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
         return
     assert all(rec["equivariant"] for rec in report["blocks"])
     invariants = [rec["invariants_ok"] for rec in report["blocks"]]
+    if broken == "partition_ok":
+        assert all(invariants) and summary["action_laws_ok"] is True
+        assert summary["universe_size"] == summary["total_ibr"] + 1
+        # the identity class: X-1 with multiplicity 3, X-1 being (p - 1, 1)
+        witness = summary["partition_witness"]
+        assert witness["s"]["mult"] == [[{"coeffs": [2, 1], "family": "F0"}, 3]]
+        assert witness["n_ibr"] == sum(rec["n_ibr"] for rec in report["blocks"]
+                                       if rec["s"] == witness["s"]) == 2
+        assert witness["universe"] == 3
+        return
+    assert summary["partition_ok"] is True
+    assert "partition_witness" not in summary
     if broken == "invariants_ok":
         assert not all(invariants)
         for rec in report["blocks"]:
@@ -948,3 +969,35 @@ def test_sweep_encodes_a_mismatched_report_once(tmp_path, monkeypatch):
                                          cli.DEFAULT_WORK_LIMIT)
         assert (entry["status"], code) == (status, want)
         assert len(calls) == 2
+
+
+def test_main_freezes_nothing_while_it_runs(tmp_path):
+    # the freeze is an exit hook: in-process callers keep their heap
+    frozen = gc.get_freeze_count()
+    for name in ("a.json", "b.json"):
+        assert main(["verify", "--p", "3", "--ell", "5", "--n", "1",
+                     "--out", str(tmp_path / name)]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_exit_hooks_registered_before_main_run_after_the_freeze(tmp_path):
+    # main runs twice; a hook registered before it runs last, after one
+    # freeze, and the same report reaches --out and stdout
+    out = tmp_path / "r.json"
+    script = f"""
+import atexit, gc, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print(len(calls), gc.get_freeze_count(), file=sys.stderr))
+from spbaw.cli import main
+args = ["verify", "--p", "3", "--ell", "5", "--n", "2"]
+code = main(args + ["--out", {str(out)!r}])
+sys.exit(code or main(args))
+"""
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", script],
+                          capture_output=True, check=True)
+    assert proc.stdout == out.read_bytes()
+    assert json.loads(proc.stdout)["summary"]["all_pass"]
+    freezes, frozen = map(int, proc.stderr.split())
+    assert freezes == 1 and frozen > 0

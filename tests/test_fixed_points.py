@@ -14,7 +14,8 @@ actions with one another; these counts check each action on its own.
       quadratic form on each even Jordan size at X -+ 1, and fixes that
       form's class exactly when the multiplicity is even (Wall 1963), so
       each unipotent factor U(t) of test_lregular_count becomes
-      U_fix(t) = prod_i (1 + t^i)(1 + t^2i) / (1 - t^2i).
+      U_fix(t) = prod_i (1 + t^i)(1 + t^2i) / (1 - t^2i);
+  field(i) then diagonal: the diagonal count at the subfield p^gcd(i, f).
 """
 
 from math import gcd
@@ -42,13 +43,19 @@ def diagonal_fixed_counts(q, ell, top):
     return series
 
 
-def fixed_labels(ctx, n, action):
-    """(fixed Brauer labels, fixed Q weight labels) over every block."""
+def fixed_labels(ctx, n, *actions):
+    """(fixed Brauer labels, fixed Q weight labels) over every block, of
+    the actions applied one after another in the order given."""
+    def image(act, x):
+        for action in actions:
+            x = act(ctx, action, x)
+        return x
+
     ibr = weights = 0
     for block in ls.enumerate_blocks(ctx, n):
-        ibr += sum(bc.act_on_ibr(ctx, action, x) == x
+        ibr += sum(image(bc.act_on_ibr, x) == x
                    for x in ls.enumerate_ibr(ctx, block))
-        weights += sum(bc.act_on_weight(ctx, action, x) == x
+        weights += sum(image(bc.act_on_weight, x) == x
                        for x in ls.enumerate_weights_q(ctx, block))
     return ibr, weights
 
@@ -70,6 +77,25 @@ def test_field_fixes_the_subfield_ell_regular_classes(p, f, ell, n):
     for i in range(1, f):
         expected = ell_regular_counts(p ** gcd(i, f), ell, n)[n]
         assert fixed_labels(ctx, n, bc.FIELD(i)) == (expected, expected), i
+
+
+@pytest.mark.parametrize("p,f,ell,n", FIELD_GRID)
+def test_field_then_diagonal_fixes_the_subfield_even_form_classes(p, f, ell, n):
+    """field(i) then diagonal fixes diagonal_fixed_counts(p^gcd(i, f), ell,
+    n)[n] Brauer and Q weight labels.  A derivation sketch, which the
+    counts below check but which has not been checked against the
+    literature:
+      - Shintani descent takes the classes that field(i) composed with a
+        diagonal automorphism stabilizes to classes over the subfield
+        F_(p^gcd(i, f)), as it does for field(i) alone;
+      - a p-th power keeps squares square in F_q, so field(i) fixes the
+        class of every quadratic form of a unipotent factor;
+      - what is left is the diagonal action's restriction to the subfield
+        classes, whose fixed classes diagonal_fixed_counts counts there."""
+    ctx = make_context(p, f, ell)
+    for i in range(1, f):
+        expected = diagonal_fixed_counts(p ** gcd(i, f), ell, n)[n]
+        assert fixed_labels(ctx, n, bc.FIELD(i), bc.DIAGONAL) == (expected, expected), i
 
 
 @pytest.mark.parametrize("p,f,ell,n", DIAGONAL_GRID)
