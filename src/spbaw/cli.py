@@ -67,14 +67,15 @@ def _check_work_limit(p, f, n, work_limit):
 
 
 def _parse_checks(text):
-    checks = set(text.split(",")) if text else set(ALL_CHECKS)
+    """The checks named in text; all of them when --checks was not given."""
+    checks = set(ALL_CHECKS) if text is None else set(text.split(","))
     unknown = checks - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     return checks
 
 
-def _run_blocks(ctx, n, blocks, checks):
+def _run_blocks(ctx, blocks, checks):
     """A report record per block, and the first action-law violation (None
     when the laws hold or are not checked).  The Brauer-to-weight pairs of
     every block come first: together they are the rank's bijection, in
@@ -97,7 +98,7 @@ def _run_blocks(ctx, n, blocks, checks):
             if violations:
                 rec["equivariance_witness"] = violations[0]
         if "invariants" in checks:
-            witness = _invariants_witness(ctx, n, block, table.k_images)
+            witness = _invariants_witness(ctx, block, table.k_images)
             rec["invariants_ok"] = witness is None
             if witness is not None:
                 rec["invariants_witness"] = witness
@@ -108,19 +109,16 @@ def _run_blocks(ctx, n, blocks, checks):
     return records, laws_witness
 
 
-def _invariants_witness(ctx, n, block, k_images):
-    """None when a block's audits pass; else the failed check's message,
-    with the weight label it failed on, in Q form, when that was one."""
-    weights, wq = ls.block_weights(ctx, block), None
-    try:
-        ls.audit_block(block, weights, n)
-        for wq in k_images:
+def _invariants_witness(ctx, block, k_images):
+    """None when the Q form of every K weight label of a block passes
+    audit_weight_label; else the failed check's message with the first
+    weight label it failed on, in Q form."""
+    weights = ls.block_weights(ctx, block)
+    for wq in k_images:
+        try:
             ls.audit_weight_label(wq, weights)
-    except ls.CheckFailed as exc:
-        witness = {"message": str(exc)}
-        if wq is not None:
-            witness["weight"] = ls.weight_q_jsonable(ctx, wq)
-        return witness
+        except ls.CheckFailed as exc:
+            return {"message": str(exc), "weight": ls.weight_q_jsonable(ctx, wq)}
     return None
 
 
@@ -155,7 +153,7 @@ def _partition_witness(ctx, n, blocks, records):
 
 def _build_report(ctx, n, checks):
     blocks = ls.enumerate_blocks(ctx, n)
-    records, laws_witness = _run_blocks(ctx, n, blocks, checks)
+    records, laws_witness = _run_blocks(ctx, blocks, checks)
     report = {
         "version": __version__,
         "context": _context_jsonable(ctx),

@@ -183,20 +183,15 @@ def _component_table(tag, size, e, mode):
     else the rank-size symbols in the defect class tag by e-core in mode.
     Each member is enumerated and extracted once.  The members with core
     kappa and weight w are those of size |kappa| + e*w with core kappa, all
-    in one defect class (a cohook changes the defect by 2)."""
+    in one defect class (a cohook changes the defect by 2); weight_of
+    refuses a core that leaves no whole weight."""
     groups = {}
     if tag == "partition":
         for lam in partcomb.enumerate_partitions(size):
             groups.setdefault(partcomb.e_core(lam, e), []).append(lam)
-        core_size = sum
     else:
         for sym in symbcomb.enumerate_symbols(size, _DEFECTS[tag]):
             groups.setdefault(symbcomb.sym_core_quotient(sym, e, mode)[0], []).append(sym)
-        core_size = symbcomb.rank
-    for core in groups:
-        if (size - core_size(core)) % e:
-            raise AssertionError(f"{tag} size {size} less its core {core} "
-                                 f"is not a multiple of {e}")
     return {core: tuple(sorted(groups[core])) for core in sorted(groups)}
 
 
@@ -418,21 +413,6 @@ def k_to_q(ctx, wk):
     q = tuple((pc, tuple(partcomb.tower_to_partition(tw, ctx.ell) for tw in fam))
               for pc, fam in wk.k)
     return WeightLabelQ(block=wk.block, q=q)
-
-
-def audit_block(block, weights, n):
-    """Dimension bookkeeping for a block with weights block_weights(ctx,
-    block), once for all its weight labels: the multiplicity at every
-    divisor splits into the core part plus beta * e_Gamma per unit of
-    weight, and the divisors fill dimension 2n+1."""
-    dim = 0
-    for pc, w in weights:
-        m = block.s.mult(pc)
-        check(m == _core_share(pc, block.core_of(pc)) + w * branch_count(pc),
-              "multiplicity is not core plus e_Gamma * weight")
-        dim += m * pc.deg
-    check(dim == 2 * n + 1, "dimensions do not fill 2n+1")
-    return True
 
 
 def audit_weight_label(wq, weights):

@@ -146,8 +146,12 @@ def _differs_in_version_only(cached, text):
             cli._report_json({**old, "version": __version__}) == text)
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
+def _int_list(name, text):
+    """The values of the grid axis --name; an axis with none is refused."""
+    values = [int(x) for x in text.split(",") if x]
+    if not values:
+        raise ValueError(f"--{name} lists no values")
+    return values
 
 
 def _entry(point):
@@ -197,8 +201,9 @@ def run_grid(args):
     if not cache_dir:
         raise ValueError("sweep needs --cache-dir or SP_BAW_CACHE_DIR")
     checks = cli._parse_checks(args.checks)
+    points = list(product(*(_int_list(name, getattr(args, name))
+                            for name in ("p", "f", "ell", "n"))))
     os.makedirs(cache_dir, exist_ok=True)
-    points = list(product(*map(_int_list, (args.p, args.f, args.ell, args.n))))
     results = run_sharded(
         points, shards(points, args.jobs, args.work_limit),
         lambda point: _sweep_point(point, checks, cache_dir, args.work_limit))

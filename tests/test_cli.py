@@ -420,7 +420,7 @@ ls._component_count = lambda key: count(key) + (key[:2] == ("odd", 1))
                           (_BREAK_FIELD_TWO, "action_laws_ok", 2, 1),
                           (_BREAK_BIJECTION, "CheckFailed", 1, 2),
                           (_BREAK_FROBENIUS, "AssertionError", 2, 1),
-                          (_BREAK_CORES, "AssertionError", 1, 1),
+                          (_BREAK_CORES, "ValueError", 1, 1),
                           (_BREAK_PARTITION, "partition_ok", 1, 1)],
                          ids=["audit", "action_laws", "field_two", "bijection",
                               "frobenius", "cores", "partition"])
@@ -438,7 +438,7 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
     report = json.loads(proc.stdout)
     summary = report["summary"]
     assert summary["all_pass"] is False
-    if broken in ("CheckFailed", "AssertionError"):
+    if broken in ("CheckFailed", "AssertionError", "ValueError"):
         assert report["failed"].startswith(broken + ": "), report["failed"]
         return
     assert all(rec["equivariant"] for rec in report["blocks"])
@@ -553,6 +553,33 @@ def test_sweep_checks_out_before_any_work(tmp_path):
     assert code == 2, err
     assert err.startswith("sp-baw: error: ") and "Traceback" not in err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("empty", ["", ","])
+@pytest.mark.parametrize("axis", ["p", "f", "ell", "n"])
+def test_sweep_refuses_an_empty_axis(tmp_path, capsys, axis, empty):
+    # an axis with no values would sweep no point and pass
+    grid = {"p": "3", "f": "1", "ell": "5", "n": "1", axis: empty}
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *(x for name, v in grid.items() for x in ("--" + name, v)),
+              "--cache-dir", str(cache), "--out", str(tmp_path / "s.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"sp-baw: error: --{axis} lists no values\n"
+    assert not cache.exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_empty_checks_is_refused(tmp_path, capsys, command):
+    # only a missing --checks means every check
+    cache, out = tmp_path / "cache", tmp_path / "r.json"
+    args = [command, "--p", "3", "--ell", "5", "--n", "1", "--checks", "",
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args + (["--cache-dir", str(cache)] if command == "sweep" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "sp-baw: error: unknown checks: ['']\n"
+    assert not cache.exists() and not out.exists()
 
 
 # The parallel sweep (spbaw.sweep).  _usable_cpus is raised so that workers

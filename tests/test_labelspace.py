@@ -256,7 +256,12 @@ def test_radical_shape_and_audit():
     import json
     for b in ls.enumerate_blocks(CTX35, 2):
         weights = ls.block_weights(CTX35, b)
-        assert ls.audit_block(b, weights, 2)
+        # each multiplicity is the core's share plus beta * e_Gamma per unit
+        # of weight, and the divisors fill dimension 2n + 1
+        for pc, w in weights:
+            assert b.s.mult(pc) == (ls._core_share(pc, b.core_of(pc))
+                                    + w * ls.branch_count(pc))
+        assert sum(m * pc.deg for pc, m in b.s.entries) == 2 * 2 + 1
         for wk in ls.enumerate_weights_k(CTX35, b):
             shape = testonly.radical_shape(CTX35, wk)
             total = {}
