@@ -113,12 +113,6 @@ def _is_identity(ctx, action):
     return action.kind == "field" and action.power % ctx.f == 0
 
 
-def act_on_semisimple(ctx, action, s):
-    if action.kind == "diagonal" or _is_identity(ctx, action):
-        return s
-    return _field_on_semisimple(ctx, action.power, s)
-
-
 @lru_cache(maxsize=None)
 def _field_on_semisimple(ctx, power, s):
     items = [(frobenius_class(pc, power, ctx), m) for pc, m in s.entries]
@@ -138,7 +132,7 @@ def act_on_block(ctx, action, x):
         return x
     s, assignment, index, collapsed = x
     if action.kind == "field":
-        return type(x)(act_on_semisimple(ctx, action, s),
+        return type(x)(_field_on_semisimple(ctx, action.power, s),
                        _relabel_assignment(ctx, action.power, assignment),
                        index, collapsed)
     if collapsed:

@@ -272,20 +272,13 @@ def _reciprocal_transform(h, ctx):
     return out
 
 
+@lru_cache(maxsize=None)
 def frobenius_class(pc, i, ctx):
     """The classified image of a class under the p^i-power map.
 
     The full q-power map permutes the roots of every member of F, so the
-    action on classes only depends on i mod f.
+    action on classes only depends on i mod f, as frobenius does.
     """
-    i %= ctx.f
-    if i == 0:
-        return pc
-    return _frobenius_class_cached(pc, i, ctx)
-
-
-@lru_cache(maxsize=None)
-def _frobenius_class_cached(pc, i, ctx):
     if pc.family == "F0":
         return pc
     out = _class_of_factor(frobenius(pc.factor, i, ctx), ctx)

@@ -23,11 +23,6 @@ class CheckFailed(Exception):
     not through assert, so that their verdicts survive python -O."""
 
 
-def check(cond, msg):
-    if not cond:
-        raise CheckFailed(msg)
-
-
 def x_minus_class(ctx):
     return ffpoly._class_of_factor(ffpoly.poly_x_minus_one(ctx), ctx)
 
@@ -103,20 +98,20 @@ def _make_semisimple(items, eta_plus):
     return SemisimpleLabel(entries=items, eta_plus=eta_plus, eta_minus=prod)
 
 
-def enumerate_semisimple(ctx, n, ell_prime_only=True):
-    """All semisimple class labels for SO_{2n+1}(q); the eigenvalue 1 is
-    always present with odd multiplicity and the multiplicity at X+1 is
-    even."""
-    return list(_enumerate_semisimple_cached(ctx, n, ell_prime_only))
+def enumerate_semisimple(ctx, n):
+    """All ell-regular semisimple class labels for SO_{2n+1}(q), in a fresh
+    list; the eigenvalue 1 is always present with odd multiplicity and the
+    multiplicity at X+1 is even."""
+    return list(_enumerate_semisimple_cached(ctx, n))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_semisimple_cached(ctx, n, ell_prime_only):
+def _enumerate_semisimple_cached(ctx, n):
     if n < 1:
         raise ValueError(f"rank n = {n} must be at least 1")
     dim = 2 * n + 1
     xm, xp = x_minus_class(ctx), x_plus_class(ctx)
-    others = [pc for pc in ffpoly.enumerate_classes(ctx, dim - 1, ell_prime_only)
+    others = [pc for pc in ffpoly.enumerate_classes(ctx, dim - 1, ell_prime_only=True)
               if pc.family != "F0"]
     out = []
 
@@ -300,10 +295,10 @@ def enumerate_ibr(ctx, block):
 def enumerate_ibr_universe(ctx, n):
     """Every Brauer label over every ell-regular semisimple class, built
     without reference to blocks (the global basic-set universe).  The
-    reference for universe_size."""
+    tests' reference for semisimple_ibr_count."""
     out = []
     xp = x_plus_class(ctx)
-    for s in enumerate_semisimple(ctx, n, ell_prime_only=True):
+    for s in enumerate_semisimple(ctx, n):
         per_class = []
         for pc in block_classes(ctx, s):
             m = s.mult(pc)
@@ -338,13 +333,6 @@ def semisimple_ibr_count(ctx, s):
     for pc in block_classes(ctx, s):
         count *= _component_count(_component_key(ctx, s, pc))
     return count
-
-
-def universe_size(ctx, n):
-    """len(enumerate_ibr_universe(ctx, n)), counted: semisimple_ibr_count
-    summed over the ell-regular semisimple labels."""
-    return sum(semisimple_ibr_count(ctx, s)
-               for s in enumerate_semisimple(ctx, n, ell_prime_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +406,8 @@ def k_to_q(ctx, wk):
 def audit_weight_label(wq, weights):
     """The branches of a Q-form weight label sum to its block's weights
     ((pc, w_Gamma), ...) at every divisor."""
-    check(tuple((pc, sum(sum(p) for p in fam)) for pc, fam in wq.q) == weights,
-          "branch sizes must sum to w")
+    if tuple((pc, sum(sum(p) for p in fam)) for pc, fam in wq.q) != weights:
+        raise CheckFailed("branch sizes must sum to w")
     return True
 
 
@@ -448,36 +436,41 @@ def value_jsonable(v):
 
 
 @lru_cache(maxsize=None)
+def _assignment_jsonable(entries):
+    """A kappa, lambda or Q: ((PolyClass, value), ...) with value_jsonable
+    values.  A Q is encoded through __wrapped__, past the memo: at e = 1
+    its pair of partitions at X+-1 can equal a symbol's rows, so a Brauer
+    label and its weight label may carry equal assignments."""
+    return [[poly_jsonable(pc), value_jsonable(v)] for pc, v in entries]
+
+
+@lru_cache(maxsize=None)
+def _counts_jsonable(entries):
+    """A ((PolyClass, int), ...) assignment: multiplicities or weights."""
+    return [[poly_jsonable(pc), x] for pc, x in entries]
+
+
+@lru_cache(maxsize=None)
 def semisimple_jsonable(s):
-    return {"mult": [[poly_jsonable(pc), m] for pc, m in s.entries],
+    return {"mult": _counts_jsonable(s.entries),
             "eta_plus": s.eta_plus, "eta_minus": s.eta_minus}
-
-
-@lru_cache(maxsize=None)
-def _kappa_jsonable(kappa):
-    return [[poly_jsonable(pc), value_jsonable(v)] for pc, v in kappa]
-
-
-@lru_cache(maxsize=None)
-def _weights_jsonable(weights):
-    return [[poly_jsonable(pc), w] for pc, w in weights]
 
 
 def block_jsonable(ctx, b):
     """A fresh record dict, so that verify may add its results; its values
     are shared fragments."""
-    return {"s": semisimple_jsonable(b.s), "kappa": _kappa_jsonable(b.kappa),
+    return {"s": semisimple_jsonable(b.s), "kappa": _assignment_jsonable(b.kappa),
             "i": b.i, "i_collapsed": b.i_collapsed,
-            "w": _weights_jsonable(block_weights(ctx, b))}
+            "w": _counts_jsonable(block_weights(ctx, b))}
 
 
 def ibr_jsonable(label):
     return {"s": semisimple_jsonable(label.s),
-            "lambda": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in label.lam],
+            "lambda": _assignment_jsonable(label.lam),
             "j": label.j, "j_collapsed": label.j_collapsed}
 
 
 def weight_q_jsonable(ctx, wl):
     return {"block": block_jsonable(ctx, wl.block),
-            "Q": [[poly_jsonable(pc), value_jsonable(v)] for pc, v in wl.q]}
+            "Q": _assignment_jsonable.__wrapped__(wl.q)}
 

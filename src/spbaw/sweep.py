@@ -147,11 +147,14 @@ def _differs_in_version_only(cached, text):
 
 
 def _int_list(name, text):
-    """The values of the grid axis --name; an axis with none is refused."""
-    values = [int(x) for x in text.split(",") if x]
-    if not values:
+    """The values of the grid axis --name; an axis with none, or with an
+    empty item, is refused."""
+    items = text.split(",")
+    if not any(items):
         raise ValueError(f"--{name} lists no values")
-    return values
+    if not all(items):
+        raise ValueError(f"--{name} has an empty item: {text!r}")
+    return [int(x) for x in items]
 
 
 def _entry(point):

@@ -70,10 +70,6 @@ class LSymbol(tuple):
         (a, b), _ = _reduce_rows(a, b)
         return tuple.__new__(cls, sorted((a, b)))
 
-    @property
-    def rows(self):
-        return tuple(self)
-
     def __repr__(self):
         return f"LSymbol({list(self[0])}, {list(self[1])})"
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from spbaw import __version__, cli
+from spbaw import __version__, cli, labelspace as ls
 from spbaw.cli import main
 from spbaw.fieldctx import make_context
 from spbaw.labelspace import CheckFailed
@@ -332,14 +332,14 @@ def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
     monkeypatch.setattr(ffpoly, "is_irreducible", counted)
     monkeypatch.setattr(gf, "_IRREDUCIBLES", {})
     monkeypatch.setattr(ffpoly, "_FACTORS", {})
-    ffpoly._frobenius_class_cached.cache_clear()
+    ffpoly.frobenius_class.cache_clear()
     labelspace._enumerate_semisimple_cached.cache_clear()
     bawcheck._field_on_semisimple.cache_clear()
     assert main(["verify", "--p", str(p), "--f", str(f), "--ell", str(ell),
                  "--n", str(n), "--out", str(tmp_path / "r.json")]) == 0
     assert calls == []
     assert gf._IRREDUCIBLES
-    assert (ffpoly._frobenius_class_cached.cache_info().misses > 0) == (f > 1)
+    assert (ffpoly.frobenius_class.cache_info().misses > 0) == (f > 1)
 
 
 @pytest.mark.parametrize("exc", [AssertionError, CheckFailed])
@@ -373,7 +373,9 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 # polynomial is X+1, which leaves the family of the class it should move;
 # every partition has the empty e-core, which leaves a partial e-hook; the
 # universe counts one symbol too many at X-1 of rank 1, so (X-1)^3 has one
-# Brauer label more there than in its blocks.
+# Brauer label more there than in its blocks; the universe counts one
+# Brauer label too many over the first ell-regular semisimple label and
+# one too few over the second, so the totals agree.
 _BREAK_AUDIT = """
 import spbaw.labelspace as ls
 audit_weight_label = ls.audit_weight_label
@@ -412,6 +414,13 @@ import spbaw.labelspace as ls
 count = ls._component_count
 ls._component_count = lambda key: count(key) + (key[:2] == ("odd", 1))
 """
+_BREAK_PARTITION_CANCELLING = """
+import spbaw.labelspace as ls
+from spbaw.fieldctx import make_context
+first, second = ls.enumerate_semisimple(make_context(3, 1, 5), 2)[:2]
+count = ls.semisimple_ibr_count
+ls.semisimple_ibr_count = lambda ctx, s: count(ctx, s) + (s == first) - (s == second)
+"""
 
 
 @pytest.mark.parametrize("inject,broken,f,n",
@@ -421,9 +430,11 @@ ls._component_count = lambda key: count(key) + (key[:2] == ("odd", 1))
                           (_BREAK_BIJECTION, "CheckFailed", 1, 2),
                           (_BREAK_FROBENIUS, "AssertionError", 2, 1),
                           (_BREAK_CORES, "ValueError", 1, 1),
-                          (_BREAK_PARTITION, "partition_ok", 1, 1)],
+                          (_BREAK_PARTITION, "partition_ok", 1, 1),
+                          (_BREAK_PARTITION_CANCELLING, "partition_cancelling", 1, 2)],
                          ids=["audit", "action_laws", "field_two", "bijection",
-                              "frobenius", "cores", "partition"])
+                              "frobenius", "cores", "partition",
+                              "partition_cancelling"])
 def test_check_failures_survive_python_O(inject, broken, f, n):
     script = inject + f"""
 import sys
@@ -452,6 +463,16 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
         assert witness["n_ibr"] == sum(rec["n_ibr"] for rec in report["blocks"]
                                        if rec["s"] == witness["s"]) == 2
         assert witness["universe"] == 3
+        return
+    if broken == "partition_cancelling":
+        # the totals agree, so only a per-label count can catch it
+        assert all(invariants) and summary["action_laws_ok"] is True
+        assert summary["partition_ok"] is False
+        assert summary["universe_size"] == summary["total_ibr"]
+        witness = summary["partition_witness"]
+        first = ls.enumerate_semisimple(make_context(3, 1, 5), 2)[0]
+        assert witness["s"] == ls.semisimple_jsonable(first)
+        assert witness["universe"] == witness["n_ibr"] + 1
         return
     assert summary["partition_ok"] is True
     assert "partition_witness" not in summary
@@ -566,6 +587,24 @@ def test_sweep_refuses_an_empty_axis(tmp_path, capsys, axis, empty):
               "--cache-dir", str(cache), "--out", str(tmp_path / "s.json")])
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"sp-baw: error: --{axis} lists no values\n"
+    assert not cache.exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("shape", ["{},,{}", "{},"])
+@pytest.mark.parametrize("axis", ["p", "f", "ell", "n"])
+def test_sweep_refuses_an_empty_item(tmp_path, capsys, axis, shape):
+    # an empty item was once dropped: --n 1,,2 swept n = 1, 2 and passed
+    grid = {"p": ("3", "5"), "f": ("1", "2"), "ell": ("5", "7"), "n": ("1", "2")}
+    text = shape.format(*grid[axis])
+    args = {name: values[0] for name, values in grid.items()}
+    args[axis] = text
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *(x for name, v in args.items() for x in ("--" + name, v)),
+              "--cache-dir", str(cache), "--out", str(tmp_path / "s.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"sp-baw: error: --{axis} has an empty item: {text!r}\n")
     assert not cache.exists() and not (tmp_path / "s.json").exists()
 
 

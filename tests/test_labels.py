@@ -97,7 +97,7 @@ def _canonical_key(label):
     """The label order spelled out: classes by (deg, gamma), symbols by
     their rows, the semisimple part before the assignment and the index."""
     def assignment(entries):
-        return tuple(((pc.deg, pc.gamma), v.rows if isinstance(v, LSymbol) else v)
+        return tuple(((pc.deg, pc.gamma), tuple(v) if isinstance(v, LSymbol) else v)
                      for pc, v in entries)
 
     def semisimple(s):

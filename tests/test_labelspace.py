@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from spbaw import ffpoly, labelspace as ls, partcomb, symbcomb
+from spbaw import bawcheck as bc, ffpoly, labelspace as ls, partcomb, symbcomb
 from spbaw.fieldctx import make_context
 from spbaw.symbcomb import LSymbol
 import testonly
@@ -12,11 +12,11 @@ CTX35 = make_context(3, 1, 5)
 CTX53 = make_context(5, 1, 3)
 
 
-def brute_semisimple_count(ctx, n, ell_prime_only):
-    """Independent count: assign multiplicities along the sorted class list
-    (trial-division irreducibility, plain DP)."""
+def brute_semisimple_count(ctx, n):
+    """Independent count of the ell-regular labels: assign multiplicities
+    along the sorted class list (trial-division irreducibility, plain DP)."""
     dim = 2 * n + 1
-    classes = ffpoly.enumerate_classes(ctx, dim, ell_prime_only)
+    classes = ffpoly.enumerate_classes(ctx, dim, ell_prime_only=True)
     others = [pc.deg for pc in classes if pc.family != "F0"]
 
     def count(idx, budget):
@@ -40,7 +40,7 @@ def brute_semisimple_count(ctx, n, ell_prime_only):
 
 
 def test_semisimple_n1_q3():
-    labels = ls.enumerate_semisimple(CTX35, 1, ell_prime_only=True)
+    labels = ls.enumerate_semisimple(CTX35, 1)
     xm, xp = ls.x_minus_class(CTX35), ls.x_plus_class(CTX35)
     identity = [s for s in labels if s.entries == ((xm, 3),)]
     assert len(identity) == 1
@@ -62,13 +62,10 @@ def test_x_plus_and_x_minus_by_their_coefficients(p, f):
         assert ls.is_x_minus(pc) == (pc == xm), pc
 
 
-@pytest.mark.parametrize("ctx,n,flag", [
-    (CTX35, 1, True), (CTX35, 2, True), (CTX35, 2, False),
-    (CTX53, 1, True), (CTX53, 2, True),
-])
-def test_semisimple_counts_vs_oracle(ctx, n, flag):
-    labels = ls.enumerate_semisimple(ctx, n, ell_prime_only=flag)
-    assert len(labels) == brute_semisimple_count(ctx, n, flag)
+@pytest.mark.parametrize("ctx,n", [(CTX35, 1), (CTX35, 2), (CTX53, 1), (CTX53, 2)])
+def test_semisimple_counts_vs_oracle(ctx, n):
+    labels = ls.enumerate_semisimple(ctx, n)
+    assert len(labels) == brute_semisimple_count(ctx, n)
     assert len(set(labels)) == len(labels)
     for s in labels:
         dim = sum(m * pc.deg for pc, m in s.entries)
@@ -76,8 +73,7 @@ def test_semisimple_counts_vs_oracle(ctx, n, flag):
         xm = ls.x_minus_class(ctx)
         assert s.mult(xm) % 2 == 1
         assert s.mult(ls.x_plus_class(ctx)) % 2 == 0
-        if flag:
-            assert all(ffpoly.is_ell_prime_order(pc, ctx) for pc, _ in s.entries)
+        assert all(ffpoly.is_ell_prime_order(pc, ctx) for pc, _ in s.entries)
 
 
 def test_semisimple_stack_depth_is_bounded_by_the_rank():
@@ -321,13 +317,32 @@ def test_weight_tuple_tables_match_the_enumerators(ell):
 
 
 def test_semisimple_labels_are_enumerated_once_per_rank():
-    # enumerate_blocks and universe_size share one enumeration; each caller
-    # gets its own list
+    # enumerate_blocks and the universe count share one enumeration; each
+    # caller gets its own list
     ctx = make_context(3, 1, 7)
     ls._enumerate_semisimple_cached.cache_clear()
     blocks = ls.enumerate_blocks(ctx, 2)
-    assert ls.universe_size(ctx, 2) == sum(len(ls.enumerate_ibr(ctx, b)) for b in blocks)
+    assert testonly.universe_size(ctx, 2) == sum(len(ls.enumerate_ibr(ctx, b)) for b in blocks)
     assert ls._enumerate_semisimple_cached.cache_info().misses == 1
     labels = ls.enumerate_semisimple(ctx, 2)
     labels.clear()
     assert ls.enumerate_semisimple(ctx, 2)
+
+
+def test_a_q_fragment_is_never_a_lambda_fragment():
+    # at e = 1 a Brauer label and its weight label can carry equal
+    # assignments: LSymbol([], [1]) at X-1 compares equal to the
+    # partitions ((), (1,)); in JSON the one has rows, the other not
+    ctx = make_context(5, 1, 3)
+    ib, w = next((ib, w) for b in ls.enumerate_blocks(ctx, 1)
+                 for ib in ls.enumerate_ibr(ctx, b)
+                 for w in [bc.brauer_to_weight(ctx, ib)] if ib.lam == w.q)
+    lam = [[ls.poly_jsonable(pc), {"rows": [list(v[0]), list(v[1])]}]
+           for pc, v in ib.lam]
+    q = [[ls.poly_jsonable(pc), [list(p) for p in fam]] for pc, fam in w.q]
+    for first in ("lambda", "Q"):
+        ls._assignment_jsonable.cache_clear()
+        if first == "lambda":
+            assert ls.ibr_jsonable(ib)["lambda"] == lam
+        assert ls.weight_q_jsonable(ctx, w)["Q"] == q
+        assert ls.ibr_jsonable(ib)["lambda"] == lam

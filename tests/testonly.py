@@ -2,7 +2,7 @@
 own paths are checked against, and helpers of the tests' assertions.  No
 `sp-baw` command runs them, so they live here, not in src/spbaw."""
 
-from spbaw import labelspace as ls, symbcomb
+from spbaw import bawcheck as bc, labelspace as ls, symbcomb
 from spbaw.partcomb import (e_core, e_core_quotient, enumerate_partitions,
                             enumerate_tuples, is_e_core)
 from spbaw.symbcomb import LSymbol
@@ -99,6 +99,19 @@ def block_of_ibr(ctx, label):
     if symbcomb.is_degenerate(core_plus):
         return ls.BlockLabel(s=label.s, kappa=kappa, i=0, i_collapsed=True)
     return ls.BlockLabel(s=label.s, kappa=kappa, i=label.j, i_collapsed=False)
+
+
+def universe_size(ctx, n):
+    """len(ls.enumerate_ibr_universe(ctx, n)), counted."""
+    return sum(ls.semisimple_ibr_count(ctx, s) for s in ls.enumerate_semisimple(ctx, n))
+
+
+def act_on_semisimple(ctx, action, s):
+    """The action on a semisimple label: field(i) relabels its divisors,
+    diagonal fixes it."""
+    if action.kind == "diagonal" or bc._is_identity(ctx, action):
+        return s
+    return bc._field_on_semisimple(ctx, action.power, s)
 
 
 def q_to_k(ctx, wq):
