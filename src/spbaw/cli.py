@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__, bawcheck as bc, labelspace as ls
 from .fieldctx import make_context
@@ -345,16 +346,16 @@ def _check_out_dir(out):
         raise ValueError(f"cannot write {out}: {folder} is not a directory")
 
 
-_freeze_registered = False
+@lru_cache(maxsize=None)
+def _register_freeze():
+    """Register gc.freeze with atexit, once per process.  Exit hooks run
+    last in, first out, so the freeze runs before the hooks registered
+    ahead of the first main and after those behind it."""
+    atexit.register(gc.freeze)
 
 
 def main(argv=None):
-    # Exit hooks run last in, first out, so the freeze runs before the
-    # hooks registered ahead of the first main and after those behind it.
-    global _freeze_registered
-    if not _freeze_registered:
-        atexit.register(gc.freeze)
-        _freeze_registered = True
+    _register_freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -92,12 +92,12 @@ def enumerate_irreducibles(ctx, maxdeg):
     return out
 
 
-def star(g, ctx):
-    """Monic polynomial with root multiset {1/a : a root of g}."""
+def star(g, gf):
+    """Monic polynomial over gf with root multiset {1/a : a root of g}."""
     if g[0] == 0:
         raise ValueError("star is undefined when X divides g")
     rev = tuple(reversed(g))
-    return poly_monic(rev, ctx.gf)
+    return poly_monic(rev, gf)
 
 
 def frobenius(g, i, ctx):
@@ -113,7 +113,7 @@ def _split_f2(g, ctx):
     star pair)."""
     for cand in _irreducibles_of_degree(ctx.gf, poly_deg(g) // 2):
         if cand[0] and poly_rem(g, cand, ctx.gf) == (0,):
-            st = star(cand, ctx)
+            st = star(cand, ctx.gf)
             if st != cand and poly_mul(cand, st, ctx.gf) == g:
                 return min(cand, st)
     raise ValueError(f"{g} is not an F2 product")
@@ -155,7 +155,7 @@ def _class_of_factor(g, ctx):
     if g == poly_x_minus_one(ctx) or g == poly_x_plus_one():
         return PolyClass(deg=1, gamma=g, factor=g, family="F0",
                          e_gamma=ctx.e, delta=1, sign=1)
-    st = star(g, ctx)
+    st = star(g, ctx.gf)
     if st == g:
         gamma, family, delta, sign = g, "F1", poly_deg(g) // 2, -1
     else:
@@ -217,39 +217,34 @@ def enumerate_classes(ctx, max_total_deg, ell_prime_only=False):
     if max_total_deg >= 1:
         factors.append(poly_x_plus_one())
     for d in range(1, max_total_deg // 2 + 1):
-        factors.extend(_factors_of_degree(ctx, d))
+        factors.extend(_factors_of_degree(ctx.gf, d))
     classes = [_class_of_factor(g, ctx) for g in factors]
     if ell_prime_only:
         classes = [pc for pc in classes if is_ell_prime_order(pc, ctx)]
     return sorted(classes)
 
 
-_FACTORS = {}        # (p, f, d) -> _factors_of_degree(ctx, d)
-
-
-def _factors_of_degree(ctx, d):
+@lru_cache(maxsize=None)
+def _factors_of_degree(gf, d):
     """The F1 members of degree 2d and the F2 factors of degree d, from the
-    monic irreducibles h of degree d.  They depend only on F_q and d, so
-    every ell and rank over the same field shares them."""
-    key = ctx.p, ctx.f, d
-    if key not in _FACTORS:
-        found = []
-        for h in _irreducibles_of_degree(ctx.gf, d):
-            if _reciprocal_stays_irreducible(h, ctx):
-                found.append(_reciprocal_transform(h, ctx))
-            # X has no star; X+-1 and the other self-star ones are not F2
-            if h[0] and h < star(h, ctx):
-                found.append(h)
-        _FACTORS[key] = tuple(found)
-    return _FACTORS[key]
+    monic irreducibles h of degree d.  They depend only on F_q and d, and
+    are memoized per field object, so every ell and rank over the same
+    field shares them."""
+    found = []
+    for h in _irreducibles_of_degree(gf, d):
+        if _reciprocal_stays_irreducible(h, gf):
+            found.append(_reciprocal_transform(h, gf))
+        # X has no star; X+-1 and the other self-star ones are not F2
+        if h[0] and h < star(h, gf):
+            found.append(h)
+    return tuple(found)
 
 
-def _reciprocal_stays_irreducible(h, ctx):
+def _reciprocal_stays_irreducible(h, gf):
     """Meyn's condition on an irreducible h: h(2) h(-2) is a non-square."""
-    gf = ctx.gf
     two = gf.add(1, 1)
     value = gf.mul(_evaluate(h, two, gf), _evaluate(h, gf.neg(two), gf))
-    return value != 0 and gf.pow(value, (ctx.q - 1) // 2) != 1
+    return value != 0 and gf.pow(value, (gf.q - 1) // 2) != 1
 
 
 def _evaluate(h, a, gf):
@@ -259,10 +254,9 @@ def _evaluate(h, a, gf):
     return out
 
 
-def _reciprocal_transform(h, ctx):
+def _reciprocal_transform(h, gf):
     """X^d h(X + 1/X) for h of degree d, by Horner's rule: with
     A_0 = 1, A_(k+1) = (X^2 + 1) A_k + h_(d-k-1) X^(k+1), A_d is it."""
-    gf = ctx.gf
     d = poly_deg(h)
     out = (1,)
     for k in range(d):

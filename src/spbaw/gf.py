@@ -96,22 +96,18 @@ def poly_gcd(a, b, gf):
     return poly_monic(a, gf) if a != (0,) else a
 
 
-_IRREDUCIBLES = {}   # (p, f, d) -> _irreducibles_of_degree(gf, d)
-
-
+@lru_cache(maxsize=None)
 def _irreducibles_of_degree(gf, d):
     """The monic irreducibles of degree d over gf in coefficient order, by a
     sieve: a monic polynomial is reducible iff it is a b with a a monic
     irreducible of degree i <= d/2 (from this table) and b monic of degree
-    d - i."""
-    key = gf.p, gf.f, d
-    if key not in _IRREDUCIBLES:
-        reducible = {poly_mul(a, c + (1,), gf) for i in range(1, d // 2 + 1)
-                     for a in _irreducibles_of_degree(gf, i)
-                     for c in product(range(gf.q), repeat=d - i)}
-        _IRREDUCIBLES[key] = tuple(h for h in (c + (1,) for c in product(range(gf.q), repeat=d))
-                                   if h not in reducible)
-    return _IRREDUCIBLES[key]
+    d - i.  Memoized per field object: get_field hands out one per (p, f),
+    so every ell and rank over F_q shares the sieve."""
+    reducible = {poly_mul(a, c + (1,), gf) for i in range(1, d // 2 + 1)
+                 for a in _irreducibles_of_degree(gf, i)
+                 for c in product(range(gf.q), repeat=d - i)}
+    return tuple(h for h in (c + (1,) for c in product(range(gf.q), repeat=d))
+                 if h not in reducible)
 
 
 class GF:

@@ -98,15 +98,11 @@ def _make_semisimple(items, eta_plus):
     return SemisimpleLabel(entries=items, eta_plus=eta_plus, eta_minus=prod)
 
 
-def enumerate_semisimple(ctx, n):
-    """All ell-regular semisimple class labels for SO_{2n+1}(q), in a fresh
-    list; the eigenvalue 1 is always present with odd multiplicity and the
-    multiplicity at X+1 is even."""
-    return list(_enumerate_semisimple_cached(ctx, n))
-
-
 @lru_cache(maxsize=None)
-def _enumerate_semisimple_cached(ctx, n):
+def enumerate_semisimple(ctx, n):
+    """All ell-regular semisimple class labels for SO_{2n+1}(q), sorted, in
+    a tuple that every caller shares; the eigenvalue 1 is always present
+    with odd multiplicity and the multiplicity at X+1 is even."""
     if n < 1:
         raise ValueError(f"rank n = {n} must be at least 1")
     dim = 2 * n + 1

@@ -148,13 +148,19 @@ def _differs_in_version_only(cached, text):
 
 def _int_list(name, text):
     """The values of the grid axis --name; an axis with none, or with an
-    empty item, is refused."""
+    empty or non-integer item, is refused."""
     items = text.split(",")
     if not any(items):
         raise ValueError(f"--{name} lists no values")
     if not all(items):
         raise ValueError(f"--{name} has an empty item: {text!r}")
-    return [int(x) for x in items]
+    values = []
+    for x in items:
+        try:
+            values.append(int(x))
+        except ValueError:
+            raise ValueError(f"--{name} has a non-integer item: {x!r}") from None
+    return values
 
 
 def _entry(point):

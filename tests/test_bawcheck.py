@@ -459,3 +459,60 @@ def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
                                                      [FIELD(1), DIAGONAL])
         assert bool(violations) == (b == block)
         assert all(v["lhs"] is None for v in violations)
+
+
+def faulty_tables():
+    """Each weight-side witness kind with a table of (3,1,5,2) that carries
+    that one fault, and the weight the witness must name."""
+    blocks = ls.enumerate_blocks(CTX35, 2)
+    block = next(b for b in blocks if len(ls.enumerate_weights_q(CTX35, b)) > 1)
+    other = next(w for b in blocks if b != block for w in ls.enumerate_weights_q(CTX35, b))
+    t = table_of(CTX35, block)
+    return {
+        # no Brauer label reaches the first pair's weight
+        "missing_weight": (t._replace(pairs=t.pairs[1:]), t.pairs[0][1]),
+        # a Brauer label reaches a weight the block does not list
+        "stray_weight": (t._replace(weights_q=t.weights_q[1:]), t.weights_q[0]),
+        # a K weight's Q form lies in another block
+        "k_to_q": (t._replace(k_images=t.k_images + [other]), other),
+        # no K weight's Q form is the first one
+        "missed_by_k_to_q": (t._replace(k_images=t.k_images[1:]), t.k_images[0]),
+    }
+
+
+@pytest.mark.parametrize("failure", ["missing_weight", "stray_weight", "k_to_q",
+                                     "missed_by_k_to_q"])
+def test_each_weight_side_fault_names_its_witness(failure):
+    table, weight = faulty_tables()[failure]
+    report = bc.verify_block(CTX35, table)
+    assert not report["bijective"]
+    assert report["bijection_witness"] == {
+        "failure": failure, "weight": ls.weight_q_jsonable(CTX35, weight)}
+
+
+def diagonal_fixes(monkeypatch, name, y):
+    """Patch the action bc.<name> so that diagonal fixes the label y."""
+    act = getattr(bc, name)
+    monkeypatch.setattr(bc, name, lambda ctx, action, x: (
+        x if action == DIAGONAL and x == y else act(ctx, action, x)))
+
+
+def test_diagonal_that_fixes_an_image_breaks_its_square(monkeypatch):
+    # diagonal moves x but fixes its image: diagonal^2 sends x there
+    ibrs = all_ibrs(CTX35, 2)
+    x = next(ib for ib in ibrs if bc.act_on_ibr(CTX35, DIAGONAL, ib) != ib)
+    diagonal_fixes(monkeypatch, "act_on_ibr", bc.act_on_ibr(CTX35, DIAGONAL, x))
+    assert bc.verify_action_laws(CTX35, ibrs, all_weights_q(CTX35, 2)) == {
+        "law": "diagonal^2 = id", "ibr": ls.ibr_jsonable(x)}
+
+
+def test_diagonal_that_fixes_a_field_image_breaks_the_commutation(monkeypatch):
+    # at f = 1 field(1) fixes every label, so the commutation law can only
+    # fail at f = 2: diagonal fixes field(1) x, and not field(1) diagonal x
+    act = bc.act_on_weight
+    x = next(w for w in all_weights_q(CTX925, 2)
+             if len({w, act(CTX925, FIELD(1), w), act(CTX925, DIAGONAL, w)}) == 3)
+    diagonal_fixes(monkeypatch, "act_on_weight", act(CTX925, FIELD(1), x))
+    assert bc.verify_action_laws(CTX925, [], [x]) == {
+        "law": "diagonal field(1) = field(1) diagonal",
+        "weight": ls.weight_q_jsonable(CTX925, x)}

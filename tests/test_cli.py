@@ -296,25 +296,18 @@ def test_verify_maps_each_brauer_label_once(tmp_path, monkeypatch):
                      "brauer_to_weight": report["summary"]["total_ibr"]}
 
 
-def test_class_table_factor_search_is_shared_across_ell(tmp_path, monkeypatch):
+def test_class_table_factor_search_is_shared_across_ell(tmp_path):
     # the irreducible sieve depends on F_q and the degree only: a second
     # ell over the same field sieves no degree again
     from spbaw import ffpoly, gf, labelspace
-    sieved = []
-
-    class Table(dict):
-        def __setitem__(self, key, value):
-            sieved.append(key)
-            super().__setitem__(key, value)
-
-    monkeypatch.setattr(gf, "_IRREDUCIBLES", Table())
-    monkeypatch.setattr(ffpoly, "_FACTORS", {})
-    labelspace._enumerate_semisimple_cached.cache_clear()
+    gf._irreducibles_of_degree.cache_clear()
+    ffpoly._factors_of_degree.cache_clear()
+    labelspace.enumerate_semisimple.cache_clear()
     for ell, first in ((5, True), (7, False)):
-        sieved.clear()
+        sieved = gf._irreducibles_of_degree.cache_info().misses
         assert main(["verify", "--p", "3", "--f", "1", "--ell", str(ell), "--n", "2",
                      "--out", str(tmp_path / f"ell{ell}.json")]) == 0
-        assert bool(sieved) == first, ell
+        assert (gf._irreducibles_of_degree.cache_info().misses > sieved) == first, ell
 
 
 @pytest.mark.parametrize("p,f,ell,n", [(5, 1, 3, 3), (3, 2, 5, 2)])
@@ -330,15 +323,15 @@ def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
         return is_irreducible(g, ctx)
 
     monkeypatch.setattr(ffpoly, "is_irreducible", counted)
-    monkeypatch.setattr(gf, "_IRREDUCIBLES", {})
-    monkeypatch.setattr(ffpoly, "_FACTORS", {})
+    gf._irreducibles_of_degree.cache_clear()
+    ffpoly._factors_of_degree.cache_clear()
     ffpoly.frobenius_class.cache_clear()
-    labelspace._enumerate_semisimple_cached.cache_clear()
+    labelspace.enumerate_semisimple.cache_clear()
     bawcheck._field_on_semisimple.cache_clear()
     assert main(["verify", "--p", str(p), "--f", str(f), "--ell", str(ell),
                  "--n", str(n), "--out", str(tmp_path / "r.json")]) == 0
     assert calls == []
-    assert gf._IRREDUCIBLES
+    assert gf._irreducibles_of_degree.cache_info().currsize
     assert (ffpoly.frobenius_class.cache_info().misses > 0) == (f > 1)
 
 
@@ -590,10 +583,11 @@ def test_sweep_refuses_an_empty_axis(tmp_path, capsys, axis, empty):
     assert not cache.exists() and not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("shape", ["{},,{}", "{},"])
+@pytest.mark.parametrize("shape", ["{},,{}", "{},", "{},x"])
 @pytest.mark.parametrize("axis", ["p", "f", "ell", "n"])
 def test_sweep_refuses_an_empty_item(tmp_path, capsys, axis, shape):
-    # an empty item was once dropped: --n 1,,2 swept n = 1, 2 and passed
+    # an empty item was once dropped: --n 1,,2 swept n = 1, 2 and passed;
+    # a non-integer item once gave int()'s message, without the axis
     grid = {"p": ("3", "5"), "f": ("1", "2"), "ell": ("5", "7"), "n": ("1", "2")}
     text = shape.format(*grid[axis])
     args = {name: values[0] for name, values in grid.items()}
@@ -603,8 +597,8 @@ def test_sweep_refuses_an_empty_item(tmp_path, capsys, axis, shape):
         main(["sweep", *(x for name, v in args.items() for x in ("--" + name, v)),
               "--cache-dir", str(cache), "--out", str(tmp_path / "s.json")])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == (
-        f"sp-baw: error: --{axis} has an empty item: {text!r}\n")
+    problem = "a non-integer item: 'x'" if text.endswith("x") else f"an empty item: {text!r}"
+    assert capsys.readouterr().err == f"sp-baw: error: --{axis} has {problem}\n"
     assert not cache.exists() and not (tmp_path / "s.json").exists()
 
 

@@ -16,6 +16,13 @@ actions with one another; these counts check each action on its own.
       each unipotent factor U(t) of test_lregular_count becomes
       U_fix(t) = prod_i (1 + t^i)(1 + t^2i) / (1 - t^2i);
   field(i) then diagonal: the diagonal count at the subfield p^gcd(i, f).
+
+Each count is taken on the Brauer, Q weight and K weight labels alike.
+The K labels obey it because k_to_q is a bijection from a block's K
+labels onto its Q labels that commutes with field(i) and diagonal (the
+K action relabels the divisors and swaps the halves of the X+1 sequence,
+as the Q action does), so it carries the fixed K labels onto the fixed Q
+labels.  Counting them directly checks the K-form action on its own.
 """
 
 from math import gcd
@@ -45,20 +52,23 @@ def diagonal_fixed_counts(q, ell, top):
 
 
 def fixed_labels(ctx, n, *actions):
-    """(fixed Brauer labels, fixed Q weight labels) over every block, of
-    the actions applied one after another in the order given."""
+    """(fixed Brauer labels, fixed Q weight labels, fixed K weight labels)
+    over every block, of the actions applied one after another in the
+    order given."""
     def image(act, x):
         for action in actions:
             x = act(ctx, action, x)
         return x
 
-    ibr = weights = 0
+    ibr = weights_q = weights_k = 0
     for block in ls.enumerate_blocks(ctx, n):
         ibr += sum(image(bc.act_on_ibr, x) == x
                    for x in ls.enumerate_ibr(ctx, block))
-        weights += sum(image(bc.act_on_weight, x) == x
-                       for x in ls.enumerate_weights_q(ctx, block))
-    return ibr, weights
+        weights_q += sum(image(bc.act_on_weight, x) == x
+                         for x in ls.enumerate_weights_q(ctx, block))
+        weights_k += sum(image(bc.act_on_weight, x) == x
+                         for x in ls.enumerate_weights_k(ctx, block))
+    return ibr, weights_q, weights_k
 
 
 def admitted(p, f, ell, n):
@@ -77,15 +87,15 @@ def test_field_fixes_the_subfield_ell_regular_classes(p, f, ell, n):
     ctx = make_context(p, f, ell)
     for i in range(1, f):
         expected = ell_regular_counts(p ** gcd(i, f), ell, n)[n]
-        assert fixed_labels(ctx, n, bc.FIELD(i)) == (expected, expected), i
+        assert fixed_labels(ctx, n, bc.FIELD(i)) == (expected,) * 3, i
 
 
 @pytest.mark.parametrize("p,f,ell,n", FIELD_GRID)
 def test_field_then_diagonal_fixes_the_subfield_even_form_classes(p, f, ell, n):
     """field(i) then diagonal fixes diagonal_fixed_counts(p^gcd(i, f), ell,
-    n)[n] Brauer and Q weight labels.  A derivation sketch, which the
-    counts below check but which has not been checked against the
-    literature:
+    n)[n] Brauer, Q weight and K weight labels.  A derivation sketch,
+    which the counts below check but which has not been checked against
+    the literature:
       - Shintani descent takes the classes that field(i) composed with a
         diagonal automorphism stabilizes to classes over the subfield
         F_(p^gcd(i, f)), as it does for field(i) alone;
@@ -96,14 +106,14 @@ def test_field_then_diagonal_fixes_the_subfield_even_form_classes(p, f, ell, n):
     ctx = make_context(p, f, ell)
     for i in range(1, f):
         expected = diagonal_fixed_counts(p ** gcd(i, f), ell, n)[n]
-        assert fixed_labels(ctx, n, bc.FIELD(i), bc.DIAGONAL) == (expected, expected), i
+        assert fixed_labels(ctx, n, bc.FIELD(i), bc.DIAGONAL) == (expected,) * 3, i
 
 
 @pytest.mark.parametrize("p,f,ell,n", DIAGONAL_GRID)
 def test_diagonal_fixes_the_even_form_classes(p, f, ell, n):
     ctx = make_context(p, f, ell)
     expected = diagonal_fixed_counts(ctx.q, ell, n)[n]
-    assert fixed_labels(ctx, n, bc.DIAGONAL) == (expected, expected)
+    assert fixed_labels(ctx, n, bc.DIAGONAL) == (expected,) * 3
 
 
 def test_spot_counts():
@@ -112,9 +122,9 @@ def test_spot_counts():
     # classes
     ctx = make_context(3, 2, 5)
     assert testonly.universe_size(ctx, 2) == 72 and testonly.universe_size(ctx, 3) == 561
-    assert fixed_labels(ctx, 2, bc.FIELD(1)) == (32, 32)
-    assert fixed_labels(ctx, 3, bc.FIELD(1)) == (127, 127)
-    assert fixed_labels(make_context(3, 1, 5), 2, bc.DIAGONAL) == (12, 12)
+    assert fixed_labels(ctx, 2, bc.FIELD(1)) == (32, 32, 32)
+    assert fixed_labels(ctx, 3, bc.FIELD(1)) == (127, 127, 127)
+    assert fixed_labels(make_context(3, 1, 5), 2, bc.DIAGONAL) == (12, 12, 12)
     # the diagonal counts of (3,1,5) and (7,1,3) for n <= 4
     assert diagonal_fixed_counts(3, 5, 4)[1:] == [3, 12, 39, 120]
     assert diagonal_fixed_counts(7, 3, 4)[1:] == [5, 36, 207, 1362]

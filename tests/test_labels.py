@@ -114,7 +114,7 @@ def _canonical_key(label):
 def test_tuple_order_is_label_order(p, f, ell, n):
     ctx = make_context(p, f, ell)
     blocks = ls.enumerate_blocks(ctx, n)
-    lists = [ls.enumerate_semisimple(ctx, n), blocks, ls.enumerate_ibr_universe(ctx, n)]
+    lists = [list(ls.enumerate_semisimple(ctx, n)), blocks, ls.enumerate_ibr_universe(ctx, n)]
     for block in blocks:
         lists += [ls.enumerate_ibr(ctx, block), ls.enumerate_weights_q(ctx, block),
                   ls.enumerate_weights_k(ctx, block)]

@@ -99,3 +99,29 @@ except ValueError as exc:
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ValueError: "), proc.stdout
+
+
+def module_state(package_dir):
+    """file:line of every global statement and of every module-level
+    binding of an empty {}, [], set(), dict() or list(): memo tables live
+    on the functions that compute them, as functools.lru_cache."""
+    def empty(node):
+        if isinstance(node, (ast.Dict, ast.List)):
+            return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("set", "dict", "list")
+                and not node.args and not node.keywords)
+
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+        found += [f"{path.name}:{node.lineno}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None and empty(node.value)]
+    return found
+
+
+def test_no_module_level_state():
+    assert module_state(Path(spbaw.__file__).parent) == []
