@@ -21,8 +21,12 @@ from .labelspace import (BlockLabel, CheckFailed, IBrLabel, WeightLabelQ,
 
 
 class AutAction(namedtuple("AutAction", "kind power", defaults=(0,))):
-    """field(i) or the diagonal outer automorphism ("field", "diagonal")."""
+    """field(i) or the diagonal outer automorphism ("field", "diagonal").
+    str() names it in a witness: "field1" or "diagonal"."""
     __slots__ = ()
+
+    def __str__(self):
+        return self.kind + (str(self.power) if self.kind == "field" else "")
 
     def __new__(cls, kind, power=0):
         if kind not in ("field", "diagonal"):
@@ -108,15 +112,13 @@ def weight_to_brauer(ctx, wq):
 # automorphism actions
 
 def _is_identity(ctx, action):
-    """field(i) with f | i: the q-power map fixes every class, so every
-    label."""
+    """field(i) with f | i: the q-power map fixes every class and label."""
     return action.kind == "field" and action.power % ctx.f == 0
 
 
 @lru_cache(maxsize=None)
 def _field_on_semisimple(ctx, power, s):
-    items = [(frobenius_class(pc, power, ctx), m) for pc, m in s.entries]
-    return ls._make_semisimple(items, s.eta_plus)
+    return ls._make_semisimple(_relabel_assignment(ctx, power, s.entries), s.eta_plus)
 
 
 def _relabel_assignment(ctx, power, entries):
@@ -247,41 +249,45 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators):
             lhs = bijection.get(act_on_ibr(ctx, gen, ib))
             rhs = act_on_weight(ctx, gen, w)
             if lhs != rhs:
-                violations.append({"generator": gen.kind + (str(gen.power) if gen.kind == "field" else ""),
-                                   "ibr": ls.ibr_jsonable(ib),
+                violations.append({"generator": str(gen), "ibr": ls.ibr_jsonable(ib),
                                    "lhs": None if lhs is None
                                    else ls.weight_q_jsonable(ctx, lhs),
                                    "rhs": ls.weight_q_jsonable(ctx, rhs)})
     return violations
 
 
-def verify_action_laws(ctx, ibrs, weights_q):
-    """The first violation of diagonal^2 = id, field(1)^2 = field(2) or
-    the commutation of diagonal and field(1), as identities of maps on the
-    given Brauer and Q-form weight labels: {"law", and "ibr" or "weight"};
-    None when every law holds.  field(i) with f | i returns its argument
-    (_is_identity), so field(0) = id and field(f) = id are not checked."""
-    gens = FIELD(1), DIAGONAL, FIELD(2)
-    for key, act, labels in (("ibr", act_on_ibr, ibrs),
-                             ("weight", act_on_weight, weights_q)):
-        for x in labels:
-            law = _broken_law(ctx, act, gens, x)
+def verify_equivariance_of_k(ctx, table, generators):
+    """Violations of k_to_q(g(k)) = g(k_to_q(k)) on a block table's K
+    weight labels k, each named by its Q form; identities are skipped."""
+    violations = []
+    for gen in (g for g in generators if not _is_identity(ctx, g)):
+        for wk, wq in zip(table.weights_k, table.k_images):
+            lhs = ls.k_to_q(ctx, act_on_weight(ctx, gen, wk))
+            rhs = act_on_weight(ctx, gen, wq)
+            if lhs != rhs:
+                violations.append({"generator": str(gen), "weight": ls.weight_q_jsonable(ctx, wq),
+                                   "lhs": ls.weight_q_jsonable(ctx, lhs),
+                                   "rhs": ls.weight_q_jsonable(ctx, rhs)})
+    return violations
+
+
+def verify_action_laws(ctx, n):
+    """The first class that breaks a law of field(1), {"law", "class"}, or
+    None: on the non-F0 classes of the rank's labels, in order, field(1)
+    maps each into the set, its i-th iterate is field(i) for 1 < i < f,
+    and its f-th, taken without _is_identity, is the identity."""
+    classes = {pc for s in ls.enumerate_semisimple(ctx, n)
+               for pc in s.support() if pc.family != "F0"}
+    for pc in sorted(classes):
+        image, law = pc, None
+        for i in range(1, ctx.f + 1):
+            image = frobenius_class(image, 1, ctx)
+            if i == 1 and image not in classes:
+                law = "field(1) permutes the classes"
+            elif 1 < i < ctx.f and image != frobenius_class(pc, i, ctx):
+                law = f"field(1)^{i} = field({i})"
+            elif i == ctx.f and image != pc:
+                law = f"field(1)^{i} = id"
             if law is not None:
-                label = (ls.ibr_jsonable(x) if key == "ibr"
-                         else ls.weight_q_jsonable(ctx, x))
-                return {"law": law, key: label}
-    return None
-
-
-def _broken_law(ctx, act, gens, x):
-    """The first action law that fails on x, or None.  x's images under
-    diagonal and field(1) are computed once."""
-    f1, d, f2 = gens
-    dx, fx = act(ctx, d, x), act(ctx, f1, x)
-    if act(ctx, d, dx) != x:
-        return "diagonal^2 = id"
-    if act(ctx, f1, fx) != act(ctx, f2, x):
-        return "field(1)^2 = field(2)"
-    if (dx if fx is x else act(ctx, d, fx)) != act(ctx, f1, dx):
-        return "diagonal field(1) = field(1) diagonal"
+                return {"law": law, "class": ls.poly_jsonable(pc)}
     return None

@@ -75,24 +75,22 @@ def _parse_checks(text):
 
 
 def _run_blocks(ctx, blocks, checks):
-    """A report record per block, and the first action-law violation (None
-    when the laws hold or are not checked).  The Brauer-to-weight pairs of
-    every block come first: together they are the rank's bijection, in
-    which equivariance looks up moved labels.  Then each block's weight
-    side is built, checked and released before the next block's."""
+    """A report record per block.  The Brauer-to-weight pairs of every
+    block come first: together they are the rank's bijection, in which
+    equivariance looks up moved labels.  Then each block's weight side is
+    built, checked and released before the next block's."""
     records = [ls.block_jsonable(ctx, b) for b in blocks]
     if not checks:
-        return records, None
+        return records
     pairs = [bc.block_pairs(ctx, b) for b in blocks]
     bijection = bc.bijection_of(pairs)
     generators = [bc.FIELD(1), bc.DIAGONAL]
-    laws_witness = None
     for block, rec, block_pairs in zip(blocks, records, pairs):
         table = bc.block_table(ctx, block, block_pairs)
         rec.update(bc.verify_block(ctx, table))
         if "equivariance" in checks:
-            violations = bc.verify_equivariance_of_block(
-                ctx, block_pairs, bijection, generators)
+            violations = (bc.verify_equivariance_of_block(ctx, block_pairs, bijection, generators)
+                          or bc.verify_equivariance_of_k(ctx, table, generators))
             rec["equivariant"] = not violations
             if violations:
                 rec["equivariance_witness"] = violations[0]
@@ -101,11 +99,8 @@ def _run_blocks(ctx, blocks, checks):
             rec["invariants_ok"] = witness is None
             if witness is not None:
                 rec["invariants_witness"] = witness
-            if laws_witness is None:
-                laws_witness = bc.verify_action_laws(
-                    ctx, [ib for ib, _ in block_pairs], table.weights_q)
         del table   # one block's weight side is alive at a time
-    return records, laws_witness
+    return records
 
 
 def _invariants_witness(ctx, block, k_images):
@@ -156,7 +151,7 @@ def _partition(ctx, n, blocks, records):
 
 def _build_report(ctx, n, checks):
     blocks = ls.enumerate_blocks(ctx, n)
-    records, laws_witness = _run_blocks(ctx, blocks, checks)
+    records = _run_blocks(ctx, blocks, checks)
     report = {
         "version": __version__,
         "context": _context_jsonable(ctx),
@@ -171,15 +166,12 @@ def _build_report(ctx, n, checks):
     }
     if "invariants" in checks:
         summary = report["summary"]
-        summary["universe_size"], witness = _partition(ctx, n, blocks, records)
-        summary["partition_ok"] = witness is None
-        if witness is not None:
-            summary["partition_witness"] = witness
-        summary["action_laws_ok"] = laws_witness is None
-        if laws_witness is not None:
-            summary["action_laws_witness"] = laws_witness
-        if not (summary["partition_ok"] and summary["action_laws_ok"]):
-            summary["all_pass"] = False
+        summary["universe_size"], partition = _partition(ctx, n, blocks, records)
+        for name, witness in (("partition", partition),
+                              ("action_laws", bc.verify_action_laws(ctx, n))):
+            summary[name + "_ok"] = witness is None
+            if witness is not None:
+                summary.update({name + "_witness": witness, "all_pass": False})
     return report
 
 

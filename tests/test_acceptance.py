@@ -65,14 +65,12 @@ def test_criterion_2_explicit_bijection(per_block_reports):
 
 def test_criterion_3_equivariance(per_block_reports):
     ok, total = True, 0
-    for cfg, (ctx, blocks, _, _) in per_block_reports.items():
+    for cfg, (ctx, _, _, _) in per_block_reports.items():
         n = cfg[0]
         violations, checked = equivariance_violations(ctx, n, [FIELD(1), DIAGONAL])
         ok = ok and not violations
         total += checked
-        ok = ok and bc.verify_action_laws(
-            ctx, [ib for b in blocks for ib in ls.enumerate_ibr(ctx, b)],
-            [w for b in blocks for w in ls.enumerate_weights_q(ctx, b)]) is None
+        ok = ok and bc.verify_action_laws(ctx, n) is None
     _report("criterion 3: equivariance for field(1) and diagonal plus action laws",
             ok, f"{total} squares checked, zero violations")
 

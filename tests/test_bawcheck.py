@@ -1,8 +1,9 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from spbaw import bawcheck as bc, labelspace as ls, symbcomb
+from spbaw import bawcheck as bc, ffpoly, labelspace as ls, symbcomb
 from spbaw.bawcheck import DIAGONAL, FIELD
 from spbaw.fieldctx import make_context
 import testonly
@@ -147,11 +148,13 @@ def test_field_moves_every_label_kind_over_f9():
 
 
 def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
-    # f = 1: every field action is the identity, so no class is relabelled;
-    # the core-tower lists are enumerated once per (ell, v); each block's
-    # weights and each K weight's Q form are computed once, the symbols of
-    # a rank and defect class are enumerated once, and the universe is
-    # counted, not built
+    # f = 1: every field action is the identity, so no label is relabelled,
+    # and only the action laws take each class through field(1), once; the
+    # core-tower lists are enumerated once per (ell, v); each block's
+    # weights and each K weight's Q form are computed once, and the Q form
+    # of each K weight's diagonal image once; the symbols of a rank and
+    # defect class are enumerated once, and the universe is counted, not
+    # built
     import json
 
     from spbaw import cli, ffpoly, partcomb
@@ -183,10 +186,17 @@ def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
     assert cli.main(["verify", "--p", "3", "--f", "1", "--ell", "5", "--n", "2",
                      "--out", str(out)]) == 0
     blocks = json.loads(out.read_text())["blocks"]
-    assert "frobenius_class" not in calls
+    assert bc._field_on_semisimple.cache_info().currsize == 0
+    classes = {pc for s in ls.enumerate_semisimple(CTX35, 2)
+               for pc in s.support() if pc.family != "F0"}
+    assert Counter(calls["frobenius_class"]) == Counter((pc, 1, CTX35) for pc in classes)
     towers = calls["enumerate_core_towers"]
     assert towers and len(towers) == len(set(towers))
-    assert len(calls["k_to_q"]) == sum(rec["n_weights_k"] for rec in blocks)
+    assert len(calls["k_to_q"]) == 2 * sum(rec["n_weights_k"] for rec in blocks)
+    weights_k = [wk for b in ls.enumerate_blocks(CTX35, 2)
+                 for wk in ls.enumerate_weights_k(CTX35, b)]
+    assert Counter(wk for _, wk in calls["k_to_q"]) == Counter(weights_k) + Counter(
+        bc.act_on_weight(CTX35, DIAGONAL, wk) for wk in weights_k)
     symbol_classes = calls["enumerate_symbols"]
     assert symbol_classes and len(symbol_classes) == len(set(symbol_classes))
     for name in ("symbols_with_core", "from_core_quotient_sym",
@@ -205,8 +215,20 @@ def test_identity_class_fixed_by_actions():
 
 
 def test_diagonal_squared_and_laws():
-    for ctx, n in [(CTX35, 1), (CTX35, 2), (CTX925, 1)]:
-        assert bc.verify_action_laws(ctx, all_ibrs(ctx, n), all_weights_q(ctx, n)) is None
+    # verify checks the laws of field(1) on classes; the label laws, which
+    # the construction of the actions implies, are asserted here directly
+    for ctx, n in [(CTX35, 1), (CTX35, 2), (CTX925, 1), (CTX925, 2)]:
+        assert bc.verify_action_laws(ctx, n) is None
+        weights_k = [w for b in ls.enumerate_blocks(ctx, n)
+                     for w in ls.enumerate_weights_k(ctx, b)]
+        for act, labels in ((bc.act_on_ibr, all_ibrs(ctx, n)),
+                            (bc.act_on_weight, all_weights_q(ctx, n)),
+                            (bc.act_on_weight, weights_k)):
+            for x in labels:
+                dx, fx = act(ctx, DIAGONAL, x), act(ctx, FIELD(1), x)
+                assert act(ctx, DIAGONAL, dx) == x
+                assert act(ctx, FIELD(1), fx) == act(ctx, FIELD(2), x)
+                assert act(ctx, DIAGONAL, fx) == act(ctx, FIELD(1), dx)
 
 
 def test_diagonal_fixes_ibr_iff_degenerate():
@@ -255,6 +277,12 @@ def test_k_and_q_actions_commute_with_k_to_q():
                 lhs = ls.k_to_q(CTX35, bc.act_on_weight(CTX35, a, wk))
                 rhs = bc.act_on_weight(CTX35, a, ls.k_to_q(CTX35, wk))
                 assert lhs == rhs
+    # and on the path verify takes, over F_9 too, where field(1) moves labels
+    for ctx, n in [(CTX35, 2), (CTX925, 2), (CTX73, 2)]:
+        for b in ls.enumerate_blocks(ctx, n):
+            table = table_of(ctx, b)
+            assert table.weights_k
+            assert not bc.verify_equivariance_of_k(ctx, table, [FIELD(1), DIAGONAL])
 
 
 def test_diagonal_fixes_weight_iff_symmetric():
@@ -498,21 +526,100 @@ def diagonal_fixes(monkeypatch, name, y):
 
 
 def test_diagonal_that_fixes_an_image_breaks_its_square(monkeypatch):
-    # diagonal moves x but fixes its image: diagonal^2 sends x there
+    # diagonal moves x but fixes its image y, so diagonal^2 sends x to y;
+    # equivariance fails at y, whose weight diagonal still moves
     ibrs = all_ibrs(CTX35, 2)
     x = next(ib for ib in ibrs if bc.act_on_ibr(CTX35, DIAGONAL, ib) != ib)
-    diagonal_fixes(monkeypatch, "act_on_ibr", bc.act_on_ibr(CTX35, DIAGONAL, x))
-    assert bc.verify_action_laws(CTX35, ibrs, all_weights_q(CTX35, 2)) == {
-        "law": "diagonal^2 = id", "ibr": ls.ibr_jsonable(x)}
+    y = bc.act_on_ibr(CTX35, DIAGONAL, x)
+    diagonal_fixes(monkeypatch, "act_on_ibr", y)
+    violations, _ = equivariance_violations(CTX35, 2)
+    assert violations == [{
+        "generator": "diagonal", "ibr": ls.ibr_jsonable(y),
+        "lhs": ls.weight_q_jsonable(CTX35, bc.brauer_to_weight(CTX35, y)),
+        "rhs": ls.weight_q_jsonable(CTX35, bc.brauer_to_weight(CTX35, x))}]
 
 
 def test_diagonal_that_fixes_a_field_image_breaks_the_commutation(monkeypatch):
     # at f = 1 field(1) fixes every label, so the commutation law can only
-    # fail at f = 2: diagonal fixes field(1) x, and not field(1) diagonal x
+    # fail at f = 2: diagonal fixes y = field(1) x, and not field(1)
+    # diagonal x; equivariance fails at the Brauer label of y
     act = bc.act_on_weight
     x = next(w for w in all_weights_q(CTX925, 2)
              if len({w, act(CTX925, FIELD(1), w), act(CTX925, DIAGONAL, w)}) == 3)
-    diagonal_fixes(monkeypatch, "act_on_weight", act(CTX925, FIELD(1), x))
-    assert bc.verify_action_laws(CTX925, [], [x]) == {
-        "law": "diagonal field(1) = field(1) diagonal",
-        "weight": ls.weight_q_jsonable(CTX925, x)}
+    y = act(CTX925, FIELD(1), x)
+    diagonal_fixes(monkeypatch, "act_on_weight", y)
+    violations, _ = equivariance_violations(CTX925, 2)
+    assert violations == [{
+        "generator": "diagonal",
+        "ibr": ls.ibr_jsonable(bc.weight_to_brauer(CTX925, y)),
+        "lhs": ls.weight_q_jsonable(CTX925, act(CTX925, DIAGONAL, y)),
+        "rhs": ls.weight_q_jsonable(CTX925, y)}]
+
+
+def negated_class(pc, ctx):
+    """The class whose roots are the negatives of pc's: g(X) becomes
+    (-1)^d g(-X).  Negation commutes with the Frobenius map and keeps
+    degree, family, e_Gamma and ell-regularity."""
+    d = len(pc.factor) - 1
+    return ffpoly._class_of_factor(tuple(
+        ctx.gf.neg(c) if (d - k) % 2 else c for k, c in enumerate(pc.factor)), ctx)
+
+
+def class_law_faults():
+    """Each class-law witness kind with the frobenius_class fault that
+    breaks it, its context, and the first class the law fails on."""
+    frob = bc.frobenius_class
+    ctx333 = make_context(3, 3, 5)   # q = 27, f = 3
+    classes = {ctx: sorted({pc for s in ls.enumerate_semisimple(ctx, 1)
+                            for pc in s.support() if pc.family != "F0"})
+               for ctx in (CTX925, ctx333)}
+    # the first class that field(2) = Frobenius^2 and negation move
+    moved = next(pc for pc in classes[ctx333] if frob(pc, 2, ctx333) != pc)
+    negated = next(pc for pc in classes[ctx333] if negated_class(pc, ctx333) != pc)
+    return {
+        # field(1) leaves the set for X+1
+        "field(1) permutes the classes": (
+            CTX925, lambda pc, i, ctx: ls.x_plus_class(ctx),
+            classes[CTX925][0]),
+        # field(2) acts as the identity
+        "field(1)^2 = field(2)": (
+            ctx333, lambda pc, i, ctx: pc if i == 2 else frob(pc, i, ctx),
+            moved),
+        # field(i) negates the roots when i is odd: field(1)^i = field(i)
+        # holds at every i, and field(1)^3 is the negation
+        "field(1)^3 = id": (
+            ctx333, lambda pc, i, ctx: (negated_class(frob(pc, i, ctx), ctx)
+                                        if i % 2 else frob(pc, i, ctx)),
+            negated),
+    }
+
+
+@pytest.mark.parametrize("law", ["field(1) permutes the classes",
+                                 "field(1)^2 = field(2)", "field(1)^3 = id"],
+                         ids=["permutation", "field_two", "field_order"])
+def test_each_class_law_names_its_witness(law, monkeypatch):
+    ctx, fault, pc = class_law_faults()[law]
+    assert bc.verify_action_laws(ctx, 1) is None
+    monkeypatch.setattr(bc, "frobenius_class", fault)
+    assert bc.verify_action_laws(ctx, 1) == {"law": law, "class": ls.poly_jsonable(pc)}
+
+
+def test_k_label_fault_names_its_equivariance_witness(monkeypatch):
+    # diagonal leaves K labels unmoved: k_to_q(diagonal k) = k_to_q(k),
+    # while diagonal moves k_to_q(k) wherever its X+1 halves differ
+    act = bc.act_on_weight
+    monkeypatch.setattr(bc, "act_on_weight", lambda ctx, a, w: (
+        w if a == DIAGONAL and isinstance(w, ls.WeightLabelK) else act(ctx, a, w)))
+    failing = 0
+    for b in ls.enumerate_blocks(CTX35, 2):
+        table = table_of(CTX35, b)
+        violations = bc.verify_equivariance_of_k(CTX35, table, [FIELD(1), DIAGONAL])
+        moved = [wq for wq in table.k_images if act(CTX35, DIAGONAL, wq) != wq]
+        assert [v["weight"] for v in violations] == [
+            ls.weight_q_jsonable(CTX35, wq) for wq in moved]
+        for v, wq in zip(violations, moved):
+            assert v == {"generator": "diagonal", "weight": v["weight"],
+                         "lhs": v["weight"],
+                         "rhs": ls.weight_q_jsonable(CTX35, act(CTX35, DIAGONAL, wq))}
+        failing += bool(violations)
+    assert failing

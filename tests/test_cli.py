@@ -332,7 +332,13 @@ def test_class_table_makes_no_rabin_test(tmp_path, monkeypatch, p, f, ell, n):
                  "--n", str(n), "--out", str(tmp_path / "r.json")]) == 0
     assert calls == []
     assert gf._irreducibles_of_degree.cache_info().currsize
-    assert (ffpoly.frobenius_class.cache_info().misses > 0) == (f > 1)
+    # one Frobenius image per class of the rank: the action laws take each
+    # non-F0 class through field(1), and the label actions, which relabel
+    # only at f > 1, add X-1 and X+1
+    classes = {pc for s in labelspace.enumerate_semisimple(make_context(p, f, ell), n)
+               for pc in s.support() if f > 1 or pc.family != "F0"}
+    assert ffpoly.frobenius_class.cache_info().misses == len(classes)
+    assert (bawcheck._field_on_semisimple.cache_info().misses > 0) == (f > 1)
 
 
 @pytest.mark.parametrize("exc", [AssertionError, CheckFailed])
@@ -358,17 +364,21 @@ def test_sweep_check_that_raises_fails(tmp_path, monkeypatch, exc):
 
 
 # Faults injected into a child interpreter; each breaks one check and
-# nothing else.  The audit sees a weight one too large; field(i) acts as
-# the diagonal inside the action-law check only; over F_9, field(2), the
-# identity, acts as field(1) inside the action-law check only; the
-# bijection sees a symbol core that is not its block's, so a weight leaves
-# the block it is tabulated for; over F_9, the Frobenius image of every
-# polynomial is X+1, which leaves the family of the class it should move;
-# every partition has the empty e-core, which leaves a partial e-hook; the
-# universe counts one symbol too many at X-1 of rank 1, so (X-1)^3 has one
-# Brauer label more there than in its blocks; the universe counts one
-# Brauer label too many over the first ell-regular semisimple label and
-# one too few over the second, so the totals agree.
+# nothing else.  The audit sees a weight one too large; over F_27, field(i)
+# also negates the roots of every class when i is odd, so field(1)^i =
+# field(i) holds and field(1)^3 is the negation: it permutes the classes
+# and keeps their invariants, so every block stays equivariant; over F_9,
+# field(1) sends every class to an ell-singular class inside the
+# action-law check only; diagonal leaves K weight labels unmoved, so
+# k_to_q no longer commutes with it; the bijection sees a symbol core that
+# is not its block's, so a weight leaves the block it is tabulated for;
+# over F_9, the Frobenius image of every polynomial is X+1, which leaves
+# the family of the class it should move; every partition has the empty
+# e-core, which leaves a partial e-hook; the universe counts one symbol
+# too many at X-1 of rank 1, so (X-1)^3 has one Brauer label more there
+# than in its blocks; the universe counts one Brauer label too many over
+# the first ell-regular semisimple label and one too few over the second,
+# so the totals agree.
 _BREAK_AUDIT = """
 import spbaw.labelspace as ls
 audit_weight_label = ls.audit_weight_label
@@ -376,13 +386,37 @@ def skewed(wq, weights):
     return audit_weight_label(wq, tuple((pc, w + 1) for pc, w in weights))
 ls.audit_weight_label = skewed
 """
-_BREAK_ACTION_LAWS = """
+_BREAK_FIELD_ORDER = """
 import spbaw.bawcheck as bc
-bc.FIELD = lambda i: bc.DIAGONAL
+from spbaw.ffpoly import _class_of_factor
+frobenius_class = bc.frobenius_class
+def negated(pc, ctx):
+    d = len(pc.factor) - 1
+    return _class_of_factor(tuple(ctx.gf.neg(c) if (d - k) % 2 else c
+                                  for k, c in enumerate(pc.factor)), ctx)
+def skewed(pc, i, ctx):
+    image = frobenius_class(pc, i, ctx)
+    return negated(image, ctx) if i % 2 and pc.family != "F0" else image
+bc.frobenius_class = skewed
 """
-_BREAK_FIELD_TWO = """
+_BREAK_PERMUTATION = """
+import sys
+import spbaw.bawcheck as bc, spbaw.ffpoly as ff
+frobenius_class = bc.frobenius_class
+def leaving(pc, i, ctx):
+    if sys._getframe(1).f_code.co_name != "verify_action_laws":
+        return frobenius_class(pc, i, ctx)
+    return next(c for c in ff.enumerate_classes(ctx, pc.deg)
+                if not ff.is_ell_prime_order(c, ctx))
+bc.frobenius_class = leaving
+"""
+_BREAK_K_DIAGONAL = """
 import spbaw.bawcheck as bc
-bc.FIELD = lambda i: bc.AutAction("field", 1 if i == 2 else i)
+from spbaw.labelspace import WeightLabelK
+act_on_weight = bc.act_on_weight
+bc.act_on_weight = lambda ctx, action, w: (
+    w if action == bc.DIAGONAL and isinstance(w, WeightLabelK)
+    else act_on_weight(ctx, action, w))
 """
 _BREAK_BIJECTION = """
 import sys
@@ -418,16 +452,17 @@ ls.semisimple_ibr_count = lambda ctx, s: count(ctx, s) + (s == first) - (s == se
 
 @pytest.mark.parametrize("inject,broken,f,n",
                          [(_BREAK_AUDIT, "invariants_ok", 1, 1),
-                          (_BREAK_ACTION_LAWS, "action_laws_ok", 1, 1),
-                          (_BREAK_FIELD_TWO, "action_laws_ok", 2, 1),
+                          (_BREAK_FIELD_ORDER, "field(1)^3 = id", 3, 1),
+                          (_BREAK_PERMUTATION, "field(1) permutes the classes", 2, 1),
+                          (_BREAK_K_DIAGONAL, "equivariant", 1, 1),
                           (_BREAK_BIJECTION, "CheckFailed", 1, 2),
                           (_BREAK_FROBENIUS, "AssertionError", 2, 1),
                           (_BREAK_CORES, "ValueError", 1, 1),
                           (_BREAK_PARTITION, "partition_ok", 1, 1),
                           (_BREAK_PARTITION_CANCELLING, "partition_cancelling", 1, 2)],
-                         ids=["audit", "action_laws", "field_two", "bijection",
-                              "frobenius", "cores", "partition",
-                              "partition_cancelling"])
+                         ids=["audit", "action_laws", "field_permutation",
+                              "k_diagonal", "bijection", "frobenius", "cores",
+                              "partition", "partition_cancelling"])
 def test_check_failures_survive_python_O(inject, broken, f, n):
     script = inject + f"""
 import sys
@@ -445,8 +480,26 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
     if broken in ("CheckFailed", "AssertionError", "ValueError"):
         assert report["failed"].startswith(broken + ": "), report["failed"]
         return
-    assert all(rec["equivariant"] for rec in report["blocks"])
     invariants = [rec["invariants_ok"] for rec in report["blocks"]]
+    if broken == "equivariant":
+        # a K weight label in Q form that diagonal moves, which its
+        # unmoved K label no longer follows
+        assert all(invariants) and summary["action_laws_ok"] is True
+        assert summary["partition_ok"] is True
+        failing = [rec for rec in report["blocks"] if not rec["equivariant"]]
+        assert failing and len(failing) < len(report["blocks"])
+        for rec in report["blocks"]:
+            assert ("equivariance_witness" in rec) == (not rec["equivariant"])
+            assert rec["bijective"]
+        for rec in failing:
+            witness = rec["equivariance_witness"]
+            assert set(witness) == {"generator", "weight", "lhs", "rhs"}
+            assert witness["generator"] == "diagonal"
+            assert witness["lhs"] == witness["weight"] != witness["rhs"]
+            assert witness["weight"]["block"] == {
+                k: rec[k] for k in ("s", "kappa", "i", "i_collapsed", "w")}
+        return
+    assert all(rec["equivariant"] for rec in report["blocks"])
     if broken == "partition_ok":
         assert all(invariants) and summary["action_laws_ok"] is True
         assert summary["universe_size"] == summary["total_ibr"] + 1
@@ -486,11 +539,15 @@ sys.exit(main(["verify", "--p", "3", "--f", "{f}", "--ell", "5", "--n", "{n}"]))
     else:
         assert all(invariants)
         assert summary["action_laws_ok"] is False
-        # both faults break field(1)^2 = field(2) on the first Brauer
-        # label that field(1) does not fix
-        witness = summary["action_laws_witness"]
-        assert witness["law"] == "field(1)^2 = field(2)"
-        assert witness["ibr"]["s"] in [rec["s"] for rec in report["blocks"]]
+        ctx = make_context(3, f, 5)
+        classes = sorted({pc for s in ls.enumerate_semisimple(ctx, n)
+                          for pc in s.support() if pc.family != "F0"})
+        # field(1) leaves the set from the first class on; negating roots
+        # fixes X^2 + 1, the first class over F_27, and moves the second
+        first = classes[0] if f == 2 else classes[1]
+        assert classes[0].gamma == (1, 0, 1)
+        assert summary["action_laws_witness"] == {
+            "law": broken, "class": ls.poly_jsonable(first)}
 
 
 # Every X-1 and X+1 entry built with its two chains the other way round:
@@ -977,29 +1034,34 @@ def test_verify_holds_one_block_weight_side_at_a_time(monkeypatch):
     assert most == 1
 
 
-def test_action_laws_check_every_label_of_the_rank_once(monkeypatch):
-    # over F_9 field(1) moves labels; the laws run block by block
+def test_action_laws_check_every_class_of_the_rank_once(monkeypatch):
+    # over F_9 field(1) moves classes; the laws run once per verify and
+    # take every class in the supports of the rank's labels through field(1)
     from spbaw import bawcheck as bc, labelspace as ls
 
-    seen_ibr, seen_q = Counter(), Counter()
-    verify_action_laws = bc.verify_action_laws
+    calls, seen = [], Counter()
+    verify_action_laws, frobenius_class = bc.verify_action_laws, bc.frobenius_class
 
-    def counting(ctx, ibrs, weights_q):
-        ibrs, weights_q = list(ibrs), list(weights_q)
-        seen_ibr.update(ibrs)
-        seen_q.update(weights_q)
-        return verify_action_laws(ctx, ibrs, weights_q)
+    def counting(ctx, n):
+        calls.append((ctx, n))
+        return verify_action_laws(ctx, n)
+
+    def recording(pc, i, ctx):
+        if i == 1 and sys._getframe(1).f_code.co_name == "verify_action_laws":
+            seen[pc] += 1
+        return frobenius_class(pc, i, ctx)
 
     monkeypatch.setattr(bc, "verify_action_laws", counting)
+    monkeypatch.setattr(bc, "frobenius_class", recording)
     report = _full_report(3, 2, 5, 2)
     assert report["summary"]["action_laws_ok"] is True
     ctx = make_context(3, 2, 5)
-    blocks = ls.enumerate_blocks(ctx, 2)
-    ibrs = [ib for b in blocks for ib in ls.enumerate_ibr(ctx, b)]
-    weights_q = [w for b in blocks for w in ls.enumerate_weights_q(ctx, b)]
-    assert len(ibrs) == report["summary"]["universe_size"]
-    assert seen_ibr == Counter(ibrs) and set(seen_ibr.values()) == {1}
-    assert seen_q == Counter(weights_q) and set(seen_q.values()) == {1}
+    assert calls == [(ctx, 2)]
+    classes = {pc for s in ls.enumerate_semisimple(ctx, 2)
+               for pc in s.support() if pc.family != "F0"}
+    assert any(frobenius_class(pc, 1, ctx) != pc for pc in classes)
+    # f = 2 applications of field(1) per class, each class the image of one
+    assert seen == Counter({pc: 2 for pc in classes})
 
 
 def test_sweep_encodes_a_mismatched_report_once(tmp_path, monkeypatch):
