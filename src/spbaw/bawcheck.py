@@ -167,12 +167,35 @@ def act_on_weight(ctx, action, w):
 # ---------------------------------------------------------------------------
 # verification
 
-class BlockTable(namedtuple("BlockTable", "pairs weights_q weights_k k_images")):
-    """One block's labels, each computed once: its Brauer labels with their
-    weight labels in pairs (block_pairs), the Q and K weight labels, and
-    k_images, the Q form of each K weight label.  verify builds one
-    block's table at a time, checks it and drops it before the next."""
+class BlockTable(namedtuple("BlockTable", "block pairs weights_q weights_k k_images")):
+    """One block and its labels, each computed once: its Brauer labels
+    with their weight labels in pairs (block_pairs), the Q and K weight
+    labels, and k_images, the Q form of each K weight label.  verify
+    builds one block's table at a time, checks it and drops it before the
+    next."""
     __slots__ = ()
+
+
+# Each check's verdict and witness keys in a block record.  The counts
+# check reads the three counts instead.
+VERDICTS = {"bijection": ("bijective", "bijection_witness"),
+            "equivariance": ("equivariant", "equivariance_witness"),
+            "invariants": ("invariants_ok", "invariants_witness")}
+
+
+def block_passes(record, checks):
+    """True when a block record passes every check in checks."""
+    if "counts" in checks and not (
+            record["n_ibr"] == record["n_weights_q"] == record["n_weights_k"]):
+        return False
+    return all(record[VERDICTS[c][0]] for c in checks if c in VERDICTS)
+
+
+@lru_cache(maxsize=None)
+def generators_of(ctx):
+    """The automorphisms equivariance acts by: field(1), unless it is the
+    identity (f = 1), and diagonal."""
+    return tuple(g for g in (FIELD(1), DIAGONAL) if not _is_identity(ctx, g))
 
 
 def block_pairs(ctx, block):
@@ -189,26 +212,32 @@ def block_pairs(ctx, block):
 def block_table(ctx, block, pairs):
     """The table of block around its block_pairs: the weight side."""
     weights_k = ls.enumerate_weights_k(ctx, block)
-    return BlockTable(pairs, ls.enumerate_weights_q(ctx, block), weights_k,
+    return BlockTable(block, pairs, ls.enumerate_weights_q(ctx, block), weights_k,
                       [ls.k_to_q(ctx, wk) for wk in weights_k])
 
 
-def bijection_of(pairs_per_block):
-    """The bijection on every Brauer label of the given blocks' pairs."""
-    return {ib: w for pairs in pairs_per_block for ib, w in pairs}
-
-
-def verify_block(ctx, table):
-    """Counts and bijectivity report for one block table: the round trip
-    through weight_to_brauer, injectivity, image = Q weights, and
-    k_to_q(K weights) = Q weights.  A block that is not bijective carries
-    the first violation found as its bijection_witness."""
-    report = {"n_ibr": len(table.pairs), "n_weights_q": len(table.weights_q),
-              "n_weights_k": len(table.weights_k), "bijective": True}
-    witness = _bijection_witness(ctx, table)
-    if witness is not None:
-        report.update(bijective=False, bijection_witness=witness)
-    return report
+def verify_block(ctx, table, bijection, checks):
+    """The verdict fields of one block's record: the three counts and
+    bijective always, equivariant and invariants_ok when their checks are
+    in checks.  A check that fails adds its first witness under its
+    VERDICTS key.  bijection maps every Brauer label of the rank to its
+    weight label; equivariance looks moved labels up in it."""
+    witnesses = {"bijection": _bijection_witness(ctx, table)}
+    if "equivariance" in checks:
+        gens = generators_of(ctx)
+        violations = (verify_equivariance_of_block(ctx, table.pairs, bijection, gens)
+                      or verify_equivariance_of_k(ctx, table, gens))
+        witnesses["equivariance"] = violations[0] if violations else None
+    if "invariants" in checks:
+        witnesses["invariants"] = _invariants_witness(ctx, table)
+    record = {"n_ibr": len(table.pairs), "n_weights_q": len(table.weights_q),
+              "n_weights_k": len(table.weights_k)}
+    for check, witness in witnesses.items():
+        verdict, witness_key = VERDICTS[check]
+        record[verdict] = witness is None
+        if witness is not None:
+            record[witness_key] = witness
+    return record
 
 
 def _bijection_witness(ctx, table):
@@ -239,6 +268,19 @@ def _bijection_witness(ctx, table):
     return None
 
 
+def _invariants_witness(ctx, table):
+    """None when the Q form of every K weight label of the table's block
+    passes audit_weight_label; else the failed check's message with the
+    first weight label it failed on, in Q form."""
+    weights = ls.block_weights(ctx, table.block)
+    for wq in table.k_images:
+        try:
+            ls.audit_weight_label(wq, weights)
+        except CheckFailed as exc:
+            return {"message": str(exc), "weight": ls.weight_q_jsonable(ctx, wq)}
+    return None
+
+
 def verify_equivariance_of_block(ctx, pairs, bijection, generators):
     """Violations of bijection[g(x)] = g(bijection[x]) on a block's pairs;
     bijection maps every Brauer label of the rank, and a moved label
@@ -258,9 +300,9 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators):
 
 def verify_equivariance_of_k(ctx, table, generators):
     """Violations of k_to_q(g(k)) = g(k_to_q(k)) on a block table's K
-    weight labels k, each named by its Q form; identities are skipped."""
+    weight labels k, each named by its Q form."""
     violations = []
-    for gen in (g for g in generators if not _is_identity(ctx, g)):
+    for gen in generators:
         for wk, wq in zip(table.weights_k, table.k_images):
             lhs = ls.k_to_q(ctx, act_on_weight(ctx, gen, wk))
             rhs = act_on_weight(ctx, gen, wq)

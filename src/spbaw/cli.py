@@ -83,51 +83,11 @@ def _run_blocks(ctx, blocks, checks):
     if not checks:
         return records
     pairs = [bc.block_pairs(ctx, b) for b in blocks]
-    bijection = bc.bijection_of(pairs)
-    generators = [bc.FIELD(1), bc.DIAGONAL]
+    bijection = {ib: w for block_pairs in pairs for ib, w in block_pairs}
     for block, rec, block_pairs in zip(blocks, records, pairs):
-        table = bc.block_table(ctx, block, block_pairs)
-        rec.update(bc.verify_block(ctx, table))
-        if "equivariance" in checks:
-            violations = (bc.verify_equivariance_of_block(ctx, block_pairs, bijection, generators)
-                          or bc.verify_equivariance_of_k(ctx, table, generators))
-            rec["equivariant"] = not violations
-            if violations:
-                rec["equivariance_witness"] = violations[0]
-        if "invariants" in checks:
-            witness = _invariants_witness(ctx, block, table.k_images)
-            rec["invariants_ok"] = witness is None
-            if witness is not None:
-                rec["invariants_witness"] = witness
-        del table   # one block's weight side is alive at a time
+        rec.update(bc.verify_block(ctx, bc.block_table(ctx, block, block_pairs),
+                                   bijection, checks))
     return records
-
-
-def _invariants_witness(ctx, block, k_images):
-    """None when the Q form of every K weight label of a block passes
-    audit_weight_label; else the failed check's message with the first
-    weight label it failed on, in Q form."""
-    weights = ls.block_weights(ctx, block)
-    for wq in k_images:
-        try:
-            ls.audit_weight_label(wq, weights)
-        except ls.CheckFailed as exc:
-            return {"message": str(exc), "weight": ls.weight_q_jsonable(ctx, wq)}
-    return None
-
-
-def _passes(records, checks):
-    for rec in records:
-        if "counts" in checks and not (
-                rec["n_ibr"] == rec["n_weights_q"] == rec["n_weights_k"]):
-            return False
-        if "bijection" in checks and not rec["bijective"]:
-            return False
-        if "equivariance" in checks and not rec["equivariant"]:
-            return False
-        if "invariants" in checks and not rec["invariants_ok"]:
-            return False
-    return True
 
 
 def _partition(ctx, n, blocks, records):
@@ -161,7 +121,7 @@ def _build_report(ctx, n, checks):
         "summary": {
             "n_blocks": len(records),
             "total_ibr": sum(r.get("n_ibr", 0) for r in records),
-            "all_pass": _passes(records, checks) if checks else True,
+            "all_pass": all(bc.block_passes(r, checks) for r in records),
         },
     }
     if "invariants" in checks:
@@ -197,26 +157,16 @@ def _report_csv(report):
     import csv   # only --format csv needs it
 
     buf = io.StringIO()
-    fields = ["p", "f", "q", "ell", "e", "epsilon", "n", "s", "kappa", "i",
-              "w", "n_ibr", "n_weights_q", "n_weights_k", "bijective",
-              "equivariant", "invariants_ok"]
+    verdicts = ["n_ibr", "n_weights_q", "n_weights_k",
+                *(verdict for verdict, _ in bc.VERDICTS.values())]
+    fields = ["p", "f", "q", "ell", "e", "epsilon", "n", "s", "kappa", "i", "w", *verdicts]
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     ctx = report["context"]
     for rec in report["blocks"]:
-        writer.writerow({
-            **ctx, "n": report["n"],
-            "s": _ENCODER.encode(rec["s"]),
-            "kappa": _ENCODER.encode(rec["kappa"]),
-            "i": rec["i"],
-            "w": _ENCODER.encode(rec["w"]),
-            "n_ibr": rec.get("n_ibr", ""),
-            "n_weights_q": rec.get("n_weights_q", ""),
-            "n_weights_k": rec.get("n_weights_k", ""),
-            "bijective": rec.get("bijective", ""),
-            "equivariant": rec.get("equivariant", ""),
-            "invariants_ok": rec.get("invariants_ok", ""),
-        })
+        writer.writerow({**ctx, "n": report["n"], "i": rec["i"],
+                         **{k: _ENCODER.encode(rec[k]) for k in ("s", "kappa", "w")},
+                         **{k: rec.get(k, "") for k in verdicts}})
     return buf.getvalue()
 
 
@@ -332,10 +282,13 @@ def build_parser():
 
 
 def _check_out_dir(out):
-    """Refuse an --out whose directory is missing before any work is done."""
+    """Refuse an --out that is a directory, or whose directory is missing,
+    before any work is done."""
     folder = os.path.dirname(out) if out else ""
     if folder and not os.path.isdir(folder):
         raise ValueError(f"cannot write {out}: {folder} is not a directory")
+    if out and os.path.isdir(out):
+        raise ValueError(f"cannot write {out}: it is a directory")
 
 
 @lru_cache(maxsize=None)

@@ -136,7 +136,7 @@ def run_sharded(points, shards, run):
 
 
 def _differs_in_version_only(cached, text):
-    """True when the cached report text is text, a report this version
+    """True when the cached report bytes are text, a report this version
     wrote, up to "version"."""
     try:
         old = json.loads(cached)
@@ -191,9 +191,9 @@ def _sweep_point(point, checks, cache_dir, work_limit):
         cli._emit(text, path)
         entry["status"] = "new"
         return entry, 0
-    with open(path) as fh:
+    with open(path, "rb") as fh:   # bytes: an undecodable file differs
         cached = fh.read()
-    if cached == text:
+    if cached == text.encode():
         entry["status"] = "match"
     elif _differs_in_version_only(cached, text):
         entry["status"] = "version_changed"

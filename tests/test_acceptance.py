@@ -32,7 +32,7 @@ def per_block_reports():
         start = time.monotonic()
         ctx = make_context(p, 1, ell)
         blocks = ls.enumerate_blocks(ctx, n)
-        reports = [bc.verify_block(ctx, table_of(ctx, b)) for b in blocks]
+        reports = [bc.verify_block(ctx, table_of(ctx, b), None, set()) for b in blocks]
         elapsed = time.monotonic() - start
         out[(n, p, ell)] = (ctx, blocks, reports, elapsed)
     return out

@@ -31,12 +31,23 @@ def table_of(ctx, block):
     return bc.block_table(ctx, block, bc.block_pairs(ctx, block))
 
 
+def bijection_of(pairs_per_block):
+    """The rank's bijection, as verify builds it from every block's pairs."""
+    return {ib: w for pairs in pairs_per_block for ib, w in pairs}
+
+
+def bijection_report(ctx, table):
+    """verify_block's record of a table with no check beyond the counts
+    and bijectivity, which it always runs."""
+    return bc.verify_block(ctx, table, None, set())
+
+
 def equivariance_violations(ctx, n, generators=(FIELD(1), DIAGONAL)):
     """The equivariance violations at rank n and the number of (label,
     generator) pairs checked, on the path verify takes: block_pairs,
-    bijection_of and verify_equivariance_of_block."""
+    the rank's bijection and verify_equivariance_of_block."""
     pairs = [bc.block_pairs(ctx, b) for b in ls.enumerate_blocks(ctx, n)]
-    bijection = bc.bijection_of(pairs)
+    bijection = bijection_of(pairs)
     violations = [v for block_pairs in pairs for v in bc.verify_equivariance_of_block(
         ctx, block_pairs, bijection, generators)]
     return violations, sum(map(len, pairs)) * len(generators)
@@ -44,7 +55,7 @@ def equivariance_violations(ctx, n, generators=(FIELD(1), DIAGONAL)):
 
 def test_bijection_on_all_w_zero_blocks():
     for b in ls.enumerate_blocks(CTX35, 1):
-        report = bc.verify_block(CTX35, table_of(CTX35, b))
+        report = bijection_report(CTX35, table_of(CTX35, b))
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
 
@@ -53,7 +64,7 @@ def test_bijection_on_all_w_zero_blocks():
                                    (CTX73, 1), (CTX73, 2), (CTX313, 1), (CTX925, 1)])
 def test_bijection_blockwise(ctx, n):
     for b in ls.enumerate_blocks(ctx, n):
-        report = bc.verify_block(ctx, table_of(ctx, b))
+        report = bijection_report(ctx, table_of(ctx, b))
         assert report["bijective"], f"block {b} not bijective"
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
 
@@ -396,11 +407,11 @@ def test_deep_core_towers_end_to_end():
               if ls.weight_of(b, xm) == 3]
     assert blocks
     tables = {b: table_of(ctx, b) for b in ls.enumerate_blocks(ctx, 3)}
-    bijection = bc.bijection_of(t.pairs for t in tables.values())
+    bijection = bijection_of(t.pairs for t in tables.values())
     deep_seen = 0
     for b in blocks:
         ks = ls.enumerate_weights_k(ctx, b)
-        report = bc.verify_block(ctx, tables[b])
+        report = bijection_report(ctx, tables[b])
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
         assert not bc.verify_equivariance_of_block(ctx, tables[b].pairs, bijection,
@@ -424,9 +435,9 @@ def test_e_three_modes_with_positive_weight(p, ell):
              if any(ls.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert heavy
     tables = [table_of(ctx, b) for b in blocks]
-    bijection = bc.bijection_of(t.pairs for t in tables)
+    bijection = bijection_of(t.pairs for t in tables)
     for t in tables:
-        r = bc.verify_block(ctx, t)
+        r = bijection_report(ctx, t)
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
         assert not bc.verify_equivariance_of_block(ctx, t.pairs, bijection,
                                                    [FIELD(1), DIAGONAL])
@@ -443,7 +454,7 @@ def test_field_equivariance_where_the_action_moves_blocks():
              if any(ls.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert len(moved) > len(blocks) // 2 and heavy
     for b in blocks:
-        r = bc.verify_block(ctx, table_of(ctx, b))
+        r = bijection_report(ctx, table_of(ctx, b))
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
     violations, _ = equivariance_violations(ctx, 2)
     assert not violations
@@ -458,7 +469,7 @@ def test_duplicated_brauer_label_breaks_bijectivity(monkeypatch):
     enumerate_ibr = ls.enumerate_ibr
     monkeypatch.setattr(ls, "enumerate_ibr",
                         lambda ctx, b, *weights: enumerate_ibr(ctx, b) + enumerate_ibr(ctx, b)[:1])
-    report = bc.verify_block(CTX35, table_of(CTX35, block))
+    report = bijection_report(CTX35, table_of(CTX35, block))
     assert report["n_ibr"] == len(enumerate_ibr(CTX35, block)) + 1
     assert not report["bijective"]
     # every round trip holds; the re-listed label hits its weight again
@@ -472,7 +483,7 @@ def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
     # the bijection is looked up, not recomputed, at the moved label: a
     # label the actions send outside the rank's labels is a violation
     tables = {b: table_of(CTX35, b) for b in ls.enumerate_blocks(CTX35, 2)}
-    bijection = bc.bijection_of(t.pairs for t in tables.values())
+    bijection = bijection_of(t.pairs for t in tables.values())
     block = next(b for b, t in tables.items() if t.pairs)
     target = tables[block].pairs[0][0]
     act_on_ibr = bc.act_on_ibr
@@ -512,7 +523,7 @@ def faulty_tables():
                                      "missed_by_k_to_q"])
 def test_each_weight_side_fault_names_its_witness(failure):
     table, weight = faulty_tables()[failure]
-    report = bc.verify_block(CTX35, table)
+    report = bijection_report(CTX35, table)
     assert not report["bijective"]
     assert report["bijection_witness"] == {
         "failure": failure, "weight": ls.weight_q_jsonable(CTX35, weight)}

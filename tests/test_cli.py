@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -53,6 +54,20 @@ def test_verify_passes_and_reports(tmp_path):
     for rec in report["blocks"]:
         assert rec["n_ibr"] == rec["n_weights_q"] == rec["n_weights_k"]
         assert rec["bijective"] and rec["equivariant"] and rec["invariants_ok"]
+    # the README's "Report schema" sentence lists the keys at each level
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("Report schema (JSON): `", 1)[1].split("`", 1)[0]
+
+    def listed(key, brackets):
+        inner = re.search(f'"{key}": {brackets}', schema, re.S).group(1)
+        return set(re.findall(r"\w+", inner))
+
+    blocks = listed("blocks", r"\[\{(.*?)\}\]")
+    summary = listed("summary", r"\{(.*?)\}")
+    assert set(re.findall(r'"(\w+)"', schema)) - blocks - summary == set(report)
+    assert set(report["context"]) == listed("context", r"\{(.*?)\}")
+    assert all(set(rec) == blocks for rec in report["blocks"])
+    assert set(report["summary"]) == summary
 
 
 def test_verify_subset_of_checks(tmp_path):
@@ -114,6 +129,21 @@ def test_unwritable_output_exits_2(tmp_path):
         code, out, err = run_cli(args)
         assert code == 2, err
         assert err.startswith("sp-baw: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "blocks", "sweep"])
+def test_out_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                           capsys, command):
+    calls = []
+    monkeypatch.setattr(ls, "enumerate_blocks", lambda *args: calls.append(args))
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "3", "--ell", "5", "--n", "1", "--out", str(tmp_path)]
+             + (["--cache-dir", str(cache)] if command == "sweep" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"sp-baw: error: cannot write {tmp_path}: it is a directory\n")
+    assert calls == [] and not cache.exists()
 
 
 def test_work_limit_refusal():
@@ -185,6 +215,24 @@ def test_sweep_detects_regression(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "b.json").read_text())
     assert report["configs"][0]["status"] == "regression"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_reports_an_undecodable_cache_file_as_a_regression(tmp_path, monkeypatch,
+                                                                 jobs):
+    # a cached report that is not UTF-8 differs from the report's bytes;
+    # under --jobs 2 the n = 1 point runs in the worker
+    from spbaw import sweep
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    cache = tmp_path / "cache"
+    args = ["sweep", "--p", "3", "--ell", "5", "--n", "1,2", "--jobs", jobs,
+            "--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+    next(cache.glob("*_n1_*.json")).write_bytes(b"\xff\xfe garbage")
+    assert main(args + ["--out", str(tmp_path / "b.json")]) == 1
+    report = json.loads((tmp_path / "b.json").read_text())
+    assert [c["status"] for c in report["configs"]] == ["regression", "match"]
+    assert report["regressions"] == 1
 
 
 def test_sweep_reports_a_version_only_change(tmp_path):
@@ -294,6 +342,34 @@ def test_verify_maps_each_brauer_label_once(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert calls == {"enumerate_blocks": 1,
                      "brauer_to_weight": report["summary"]["total_ibr"]}
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_verify_acts_by_field_one_only_where_it_moves_labels(tmp_path, monkeypatch, f):
+    # field(1) is the identity at f = 1, and verify acts by it on no label;
+    # at f = 2 it acts on every Brauer and every K label
+    from spbaw import bawcheck as bc
+    acted = Counter()
+
+    def counted(name):
+        act = getattr(bc, name)
+
+        def wrapper(ctx, action, x):
+            if action == bc.FIELD(1):
+                acted[type(x).__name__] += 1
+            return act(ctx, action, x)
+        monkeypatch.setattr(bc, name, wrapper)
+
+    counted("act_on_ibr")
+    counted("act_on_weight")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--p", "3", "--f", str(f), "--ell", "5", "--n", "2",
+                 "--out", str(out)]) == 0
+    total = json.loads(out.read_text())["summary"]["total_ibr"]
+    if f == 1:
+        assert not acted
+    else:
+        assert acted["IBrLabel"] == acted["WeightLabelK"] == total
 
 
 def test_class_table_factor_search_is_shared_across_ell(tmp_path):
