@@ -224,9 +224,9 @@ def verify_block(ctx, table, bijection, checks):
     weight label; equivariance looks moved labels up in it."""
     witnesses = {"bijection": _bijection_witness(ctx, table)}
     if "equivariance" in checks:
-        gens = generators_of(ctx)
-        violations = (verify_equivariance_of_block(ctx, table.pairs, bijection, gens)
-                      or verify_equivariance_of_k(ctx, table, gens))
+        gens, moved = generators_of(ctx), {}
+        violations = (verify_equivariance_of_block(ctx, table.pairs, bijection, gens, moved)
+                      or verify_equivariance_of_k(ctx, table, gens, moved))
         witnesses["equivariance"] = violations[0] if violations else None
     if "invariants" in checks:
         witnesses["invariants"] = _invariants_witness(ctx, table)
@@ -281,15 +281,15 @@ def _invariants_witness(ctx, table):
     return None
 
 
-def verify_equivariance_of_block(ctx, pairs, bijection, generators):
+def verify_equivariance_of_block(ctx, pairs, bijection, generators, moved):
     """Violations of bijection[g(x)] = g(bijection[x]) on a block's pairs;
     bijection maps every Brauer label of the rank, and a moved label
-    outside it is a violation."""
+    outside it is a violation.  moved[g, w] gets each g(w) computed."""
     violations = []
     for ib, w in pairs:
         for gen in generators:
             lhs = bijection.get(act_on_ibr(ctx, gen, ib))
-            rhs = act_on_weight(ctx, gen, w)
+            rhs = moved[gen, w] = act_on_weight(ctx, gen, w)
             if lhs != rhs:
                 violations.append({"generator": str(gen), "ibr": ls.ibr_jsonable(ib),
                                    "lhs": None if lhs is None
@@ -298,14 +298,14 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators):
     return violations
 
 
-def verify_equivariance_of_k(ctx, table, generators):
-    """Violations of k_to_q(g(k)) = g(k_to_q(k)) on a block table's K
-    weight labels k, each named by its Q form."""
+def verify_equivariance_of_k(ctx, table, generators, moved):
+    """Violations of k_to_q(g(k)) = g(k_to_q(k)) on a table's K labels k,
+    named by their Q forms; g(k_to_q(k)) is read from moved if there."""
     violations = []
     for gen in generators:
         for wk, wq in zip(table.weights_k, table.k_images):
             lhs = ls.k_to_q(ctx, act_on_weight(ctx, gen, wk))
-            rhs = act_on_weight(ctx, gen, wq)
+            rhs = moved.get((gen, wq)) or act_on_weight(ctx, gen, wq)
             if lhs != rhs:
                 violations.append({"generator": str(gen), "weight": ls.weight_q_jsonable(ctx, wq),
                                    "lhs": ls.weight_q_jsonable(ctx, lhs),

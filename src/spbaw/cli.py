@@ -4,23 +4,22 @@
   sp-baw verify  --p 3 --f 1 --ell 5 --n 2          counts/bijection checks
   sp-baw sweep   --p 3 --f 1 --ell 5,7 --n 1,2      grid + regression cache
 
-Reports are JSON (or a flat CSV projection) with a stable schema, byte
-identical across runs and --jobs settings.  `sweep --jobs N` runs its grid
-points in up to N processes (forked workers, no more than the usable
-CPUs); `verify` and `blocks` ignore the flag.  Exit codes: 0 all requested
-checks pass, 1 a check failed (an internal fault in a report counts as a
-failed check), 2 usage or configuration error (a rank below 1, a --jobs
+`parse_args` reads a command's options off its table in COMMANDS, as
+--name value or --name=value, with any unique prefix of a name; -h prints
+the tables.  Reports are JSON (or a flat CSV projection) with a stable
+schema, byte identical across runs and --jobs settings.  `sweep --jobs N`
+runs its grid points in up to N processes (forked workers, no more than
+the usable CPUs); `verify` and `blocks` ignore the flag.  Exit codes: 0
+all requested checks pass, 1 a check failed (an internal fault in a report
+counts as a failed check), 2 a usage or configuration error, after one
+`sp-baw: error:` line (an unknown or ambiguous option, a rank or --jobs
 below 1, a size over --work-limit, or an output that cannot be written).
 
-`main` registers `gc.freeze` with `atexit`, one entry per process however
-often it runs: at exit everything still alive, the memo tables' labels,
-symbols and classes among it, moves to the permanent generation before
-the interpreter's finalizing collections, which then skip it.  Module
-teardown, the other exit hooks and the flushing of stdout and --out
-still run.
+`main` registers `gc.freeze` with `atexit` once per process, so the memo
+tables' labels, symbols and classes skip the interpreter's finalizing
+collections; module teardown, the other exit hooks and the flushes run.
 """
 
-import argparse
 import atexit
 import gc
 import io
@@ -28,6 +27,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__, bawcheck as bc, labelspace as ls
 from .fieldctx import make_context
@@ -224,61 +224,78 @@ def cmd_sweep(args):
     return sweep.run_grid(args)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _options(axis, *extra):
+    """An option table, name -> (type, default, help): every command's
+    options, with axis the type of the grid axes (text on sweep), then extra."""
+    return {"--p": (axis, None, "odd prime p"), "--f": (axis, axis("1"), "f in q = p^f"),
+            "--ell": (axis, None, "odd prime ell different from p"),
+            "--n": (axis, None, "symplectic rank n"), "--out": (str, None, "report file"),
+            "--jobs": (int, 1, "at least 1: a sweep's processes; bytes do not depend on it"),
+            "--work-limit": (int, DEFAULT_WORK_LIMIT, "refuse a bound q^(2n+1) above this"),
+            **dict(extra)}
 
 
-def _add_common(sub, grid=False):
-    kind = str if grid else int
-    sub.add_argument("--p", type=kind, required=True, help="odd prime p")
-    sub.add_argument("--f", type=kind, default="1" if grid else 1,
-                     help="exponent f with q = p^f")
-    sub.add_argument("--ell", type=kind, required=True,
-                     help="odd prime ell different from p")
-    sub.add_argument("--n", type=kind, required=True, help="symplectic rank n")
-    sub.add_argument("--out", default=None, help="write the report here")
-    if not grid:
-        sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=_positive_int, default=1,
-                     help="at least 1; sweep runs its grid points in up to "
-                          "this many processes, verify and blocks ignore "
-                          "it; report bytes do not depend on it")
-    sub.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
-                     help="refuse sizes whose bound q^(2n+1) exceeds this")
+_FORMAT = ("--format", (str, "json", "json or csv"))
+_CHECKS = ("--checks", (str, None, "comma list from: " + ",".join(ALL_CHECKS)))
+# command -> (function, help, option table); --p, --ell and --n are required
+COMMANDS = {"blocks": (cmd_report, "emit the block table", _options(int, _FORMAT)),
+            "verify": (cmd_report, "run per-block checks", _options(int, _FORMAT, _CHECKS)),
+            "sweep": (cmd_sweep, "run a grid and compare to the cache", _options(
+                str, _CHECKS, ("--cache-dir", (str, None, "dir, or SP_BAW_CACHE_DIR"))))}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sp-baw",
-        description="Block, Brauer-character and weight label enumeration and "
-                    "verification for Sp_2n(q) at odd non-defining primes")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+def _usage(command):
+    """The help text of command: its usage and its option table."""
+    _, text, table = COMMANDS[command]
+    return (f"usage: sp-baw {command} --p P --ell ELL --n N [--name[=]value ...]\n\n{text}\n\n"
+            + "".join(f"  {name:13}{help}{'' if default is None else f' (default {default})'}\n"
+                      for name, (_, default, help) in table.items()))
 
-    b = subs.add_parser("blocks", help="emit the block table")
-    _add_common(b)
-    b.set_defaults(func=cmd_report)
 
-    v = subs.add_parser("verify", help="run per-block checks")
-    _add_common(v)
-    v.add_argument("--checks", default=None,
-                   help="comma list from: " + ",".join(ALL_CHECKS))
-    v.set_defaults(func=cmd_report)
+def _match(word, names):
+    """The one name of names that word is, or else is a prefix of."""
+    found = [word] if word in names else [n for n in names if n.startswith(word)]
+    if len(found) == 1:
+        return found[0]
+    raise ValueError(f"ambiguous option: {word} could match {', '.join(found)}" if found
+                     else f"unrecognized arguments: {word}")
 
-    s = subs.add_parser("sweep", help="run a grid and compare to the cache")
-    _add_common(s, grid=True)
-    s.add_argument("--checks", default=None,
-                   help="comma list from: " + ",".join(ALL_CHECKS))
-    s.add_argument("--cache-dir", default=None,
-                   help="cache directory (or SP_BAW_CACHE_DIR)")
-    s.set_defaults(func=cmd_sweep)
-    return parser
+
+def parse_args(argv):
+    """The command and its option values, as attributes named like the
+    options.  Prints the help or the version and exits 0 when asked; a
+    usage error raises ValueError."""
+    if not argv or argv[0] not in COMMANDS and not argv[0].startswith("-"):
+        raise ValueError("the first argument must be a command: " + ", ".join(COMMANDS))
+    if argv[0] not in COMMANDS:
+        version = _match(argv[0], ("-h", "--help", "--version")) == "--version"
+        sys.stdout.write(__version__ + "\n" if version else "\n".join(map(_usage, COMMANDS)))
+        raise SystemExit(0)
+    command, tokens = argv[0], iter(argv[1:])
+    func, _, table = COMMANDS[command]
+    values = {name: default for name, (_, default, _) in table.items()}
+    for token in tokens:
+        word, eq, value = token.partition("=")
+        name = _match(word, [*table, "-h", "--help"])
+        if name in ("-h", "--help"):
+            sys.stdout.write(_usage(command))
+            raise SystemExit(0)
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise ValueError(f"argument {name}: expected one argument")
+        try:
+            values[name] = table[name][0](value)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        if name == "--format" and value not in ("json", "csv"):
+            raise ValueError(f"argument --format: {value!r} is neither json nor csv")
+        if name == "--jobs" and values[name] < 1:
+            raise ValueError(f"argument --jobs: must be at least 1, got {values[name]}")
+    missing = ", ".join(name for name in ("--p", "--ell", "--n") if values[name] is None)
+    if missing:
+        raise ValueError("the following arguments are required: " + missing)
+    return SimpleNamespace(command=command, func=func,
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def _check_out_dir(out):
@@ -301,13 +318,13 @@ def _register_freeze():
 
 def main(argv=None):
     _register_freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         _check_out_dir(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        parser.exit(2, f"sp-baw: error: {exc}\n")
+        sys.stderr.write(f"sp-baw: error: {exc}\n")
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

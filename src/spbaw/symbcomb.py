@@ -28,9 +28,9 @@ e-tuples, A on chain 0; star_plain's orientation 0 attaches the
 canonically smaller tuple to chain 0.
 
 Reconstruction inverts extraction directly.  Shifting the core by a
-multiple of 2e beads moves every runner round an even number of times, so
-the frame's track labels are the absolute ones: A[r] goes on track (r, 0),
-B[r] on track (r, 1), and the one symbol this builds is re-extracted as a
+multiple of 2e beads, none when its tracks already hold enough, keeps the
+frame's track labels the absolute ones: A[r] goes on track (r, 0), B[r]
+on track (r, 1), and the one symbol this builds is re-extracted as a
 check.  Extraction and reconstruction are memoized: label sets are
 products of components, so the same symbol recurs in many labels.
 """
@@ -146,11 +146,14 @@ def is_pair_degenerate(pair):
 @lru_cache(maxsize=None)
 def _attach(core, first, second, e, mode):
     """The symbol with e-core `core`, chain 0 carrying `first` and chain 1
-    carrying `second`; re-extracted before it is returned."""
-    needed = max(map(len, first + second), default=0)
-    tr = abacus(shift_rows(core, 2 * e * (needed + 1)), e, zigzag=mode == COHOOK)
+    carrying `second`, on the core shifted by the fewest rounds of 2e beads
+    that leave each entry enough beads on its track; re-extracted."""
     quot = {(r, side): p for side, tup in enumerate((first, second))
-            for r, p in enumerate(tup)}
+            for r, p in enumerate(tup) if p}
+    tr = abacus(core, e, zigzag=mode == COHOOK)
+    rounds = max([(len(p) - len(tr.get(k, ())) + 1) // 2 for k, p in quot.items()], default=0)
+    if rounds > 0:
+        tr = abacus(shift_rows(core, 2 * e * rounds), e, zigzag=mode == COHOOK)
     new = {key: beta_set(quot.get(key, ()), len(heights))
            for key, heights in tr.items()}
     sym = LSymbol(*_untracks(new, e, mode))

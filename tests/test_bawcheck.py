@@ -49,7 +49,7 @@ def equivariance_violations(ctx, n, generators=(FIELD(1), DIAGONAL)):
     pairs = [bc.block_pairs(ctx, b) for b in ls.enumerate_blocks(ctx, n)]
     bijection = bijection_of(pairs)
     violations = [v for block_pairs in pairs for v in bc.verify_equivariance_of_block(
-        ctx, block_pairs, bijection, generators)]
+        ctx, block_pairs, bijection, generators, {})]
     return violations, sum(map(len, pairs)) * len(generators)
 
 
@@ -293,7 +293,7 @@ def test_k_and_q_actions_commute_with_k_to_q():
         for b in ls.enumerate_blocks(ctx, n):
             table = table_of(ctx, b)
             assert table.weights_k
-            assert not bc.verify_equivariance_of_k(ctx, table, [FIELD(1), DIAGONAL])
+            assert not bc.verify_equivariance_of_k(ctx, table, [FIELD(1), DIAGONAL], {})
 
 
 def test_diagonal_fixes_weight_iff_symmetric():
@@ -415,7 +415,7 @@ def test_deep_core_towers_end_to_end():
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
         assert not bc.verify_equivariance_of_block(ctx, tables[b].pairs, bijection,
-                                                   [FIELD(1), DIAGONAL])
+                                                   [FIELD(1), DIAGONAL], {})
         for wk in ks:
             for pc, fam in wk.k:
                 deep_seen += sum(1 for tw in fam if len(tw) > 1)
@@ -440,7 +440,7 @@ def test_e_three_modes_with_positive_weight(p, ell):
         r = bijection_report(ctx, t)
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
         assert not bc.verify_equivariance_of_block(ctx, t.pairs, bijection,
-                                                   [FIELD(1), DIAGONAL])
+                                                   [FIELD(1), DIAGONAL], {})
 
 
 def test_field_equivariance_where_the_action_moves_blocks():
@@ -495,7 +495,7 @@ def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
     monkeypatch.setattr(bc, "act_on_ibr", stray)
     for b, t in tables.items():
         violations = bc.verify_equivariance_of_block(CTX35, t.pairs, bijection,
-                                                     [FIELD(1), DIAGONAL])
+                                                     [FIELD(1), DIAGONAL], {})
         assert bool(violations) == (b == block)
         assert all(v["lhs"] is None for v in violations)
 
@@ -624,7 +624,7 @@ def test_k_label_fault_names_its_equivariance_witness(monkeypatch):
     failing = 0
     for b in ls.enumerate_blocks(CTX35, 2):
         table = table_of(CTX35, b)
-        violations = bc.verify_equivariance_of_k(CTX35, table, [FIELD(1), DIAGONAL])
+        violations = bc.verify_equivariance_of_k(CTX35, table, [FIELD(1), DIAGONAL], {})
         moved = [wq for wq in table.k_images if act(CTX35, DIAGONAL, wq) != wq]
         assert [v["weight"] for v in violations] == [
             ls.weight_q_jsonable(CTX35, wq) for wq in moved]

@@ -369,7 +369,9 @@ def test_verify_acts_by_field_one_only_where_it_moves_labels(tmp_path, monkeypat
     if f == 1:
         assert not acted
     else:
+        # the K pass reads g(k_to_q(k)) off the Brauer pass: one action per Q label
         assert acted["IBrLabel"] == acted["WeightLabelK"] == total
+        assert acted["WeightLabelQ"] == total
 
 
 def test_class_table_factor_search_is_shared_across_ell(tmp_path):
@@ -895,6 +897,60 @@ def test_jobs_below_one_is_a_usage_error(tmp_path):
     assert "--jobs: must be at least 1" in err
 
 
+def test_abbreviated_and_joined_options_are_accepted(tmp_path):
+    short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+    assert main(["verify", "--p", "3", "--ell", "5", "--n=2", "--work", "1000",
+                 "--fo", "csv", "--out", str(short)]) == 0
+    assert main(["verify", "--p", "3", "--ell", "5", "--n", "2", "--work-limit", "1000",
+                 "--format", "csv", "--out", str(full)]) == 0
+    assert short.read_bytes() == full.read_bytes()
+
+
+_REQUIRED = ["--p", "3", "--ell", "5", "--n", "1"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["verify", *_REQUIRED, "--bogus", "1"], "unrecognized arguments: --bogus"),
+    (["sweep", *_REQUIRED, "--c", "x"], "ambiguous option: --c could match --checks, --cache-dir"),
+    (["verify", *_REQUIRED, "--out"], "argument --out: expected one argument"),
+    (["verify", "--ell", "5", "--n", "1"], "the following arguments are required: --p"),
+    (["verify", "--p", "3", "--ell", "5", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["verify", *_REQUIRED, "--format", "xml"], "argument --format: 'xml' is neither json nor csv"),
+    (["sweep", *_REQUIRED, "--format", "csv"], "unrecognized arguments: --format"),
+    (["blocks", *_REQUIRED, "--checks", "counts"], "unrecognized arguments: --checks"),
+    ([], "the first argument must be a command: blocks, verify, sweep"),
+    (["check", *_REQUIRED], "the first argument must be a command: blocks, verify, sweep"),
+])
+def test_usage_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.setenv("SP_BAW_CACHE_DIR", str(tmp_path / "cache"))
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"sp-baw: error: {message}\n")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--vers"]])
+def test_version_prints_the_package_version(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (__version__ + "\n", "")
+
+
+@pytest.mark.parametrize("args", [["verify", "-h"], ["verify", "--p", "3", "--help"],
+                                  ["verify", "--he"], ["-h"]])
+def test_help_lists_the_options_of_the_table(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "usage: sp-baw verify " in out
+    for name in cli.COMMANDS["verify"][2]:
+        assert f"  {name} " in out, name
+    assert "--checks" in out and "counts,bijection,equivariance,invariants" in out
+
+
 def test_cli_import_starts_no_process_machinery():
     script = f"""
 import sys
@@ -909,7 +965,7 @@ print(" ".join(sorted(set(sys.modules) - before)))
     assert "spbaw.cli" in new
     # the sweep's grid runner is compiled and loaded by sweep alone
     for name in ("multiprocessing", "concurrent.futures", "pickle", "subprocess",
-                 "spbaw.sweep"):
+                 "spbaw.sweep", "argparse", "gettext", "locale"):
         assert name not in new, name
 
 

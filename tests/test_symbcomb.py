@@ -349,6 +349,21 @@ def test_reduce_rows_matches_one_unshift_at_a_time():
     assert sc._reduce_rows((5, 2, 1, 0), (3, 1, 0)) == (((3, 0), (1,)), 2)
 
 
+@pytest.mark.parametrize("mode", [HOOK, COHOOK])
+def test_attach_of_empty_quotients_at_large_e_adds_no_bead(monkeypatch, mode):
+    # every entry empty, as in a defect-zero block: the core is the symbol,
+    # and no round of 2e beads is added to it on the way
+    e, core = 1009, LSymbol((4, 2, 0), (3, 1))
+    empty, beads, abacus = ((),) * e, [], sc.abacus
+
+    def counted(rows, *args, **kwargs):
+        beads.append(sum(map(len, rows)))
+        return abacus(rows, *args, **kwargs)
+    monkeypatch.setattr(sc, "abacus", counted)
+    assert sc._attach.__wrapped__(core, empty, empty, e, mode) == core
+    assert beads and max(beads) == len(core[0]) + len(core[1])
+
+
 def test_extraction_of_a_small_symbol_at_large_e():
     # only the tracks that hold beads are converted; the rest are empty
     e = 50003
