@@ -47,48 +47,44 @@ def brauer_to_weight(ctx, ib):
     the weight's entry.  At X-1 and X+1 the entry is the chain-0 tuple A,
     then the chain-1 tuple B, swapped at X+1 when j = 1; a degenerate X+1
     core gives its chains no absolute order, so the pair is sorted first.
-    verify_block's round trip checks the reconstruction."""
-    e, mode = ctx.e, ctx.mode
-    kappa, entries = [], []
-    i, i_collapsed = 0, True
-    for pc in block_classes(ctx, ib.s):
-        lam = ib.part_of(pc)
+    lambda lists block_classes(ctx, s); verify_block checks the round trip."""
+    e, mode, classes = ctx.e, ctx.mode, block_classes(ctx, ib.s)
+    kappa, entries, i, i_collapsed = [], [], 0, True
+    for (pc, lam), want in zip(ib.lam, classes):
+        if pc != want:
+            break
         if pc.family != "F0":
             core, quot = partcomb.e_core_quotient(lam, pc.e_gamma)
-            kappa.append((pc, core))
-            entries.append((pc, quot))
-            continue
-        core, A, B = symbcomb._extract(lam, e, mode)
+        else:
+            core, A, B = symbcomb._extract(lam, e, mode)
+            if is_x_plus(pc):
+                if not symbcomb.is_degenerate(core):
+                    i, i_collapsed = ib.j, False
+                elif symbcomb.is_degenerate(lam) and A != B:
+                    raise CheckFailed(f"{lam}: quotient {A}; {B}")
+                else:
+                    A, B = sorted((A, B))
+                if ib.j:
+                    A, B = B, A
+            quot = A + B
         kappa.append((pc, core))
-        if is_x_plus(pc):
-            if not symbcomb.is_degenerate(core):
-                i, i_collapsed = ib.j, False
-            elif symbcomb.is_degenerate(lam) and A != B:
-                raise CheckFailed(f"{lam}: quotient {A}; {B}")
-            else:
-                A, B = sorted((A, B))
-            if ib.j:
-                A, B = B, A
-        entries.append((pc, A + B))
-    block = BlockLabel(s=ib.s, kappa=tuple(kappa), i=i, i_collapsed=i_collapsed)
-    return WeightLabelQ(block=block, q=tuple(entries))
+        entries.append((pc, quot))
+    if not len(entries) == len(ib.lam) == len(classes):
+        ls.check_classes(ib.lam, classes)
+    return WeightLabelQ(BlockLabel(ib.s, tuple(kappa), i, i_collapsed), tuple(entries))
 
 
-def weight_to_brauer(ctx, wq):
-    """Two-sided inverse of brauer_to_weight."""
-    block = wq.block
-    e, mode = ctx.e, ctx.mode
-    entries = []
+def weight_to_brauer(ctx, wq, weights):
+    """Two-sided inverse of brauer_to_weight.  weights are
+    block_weights(ctx, wq.block), whose classes Q and kappa must list."""
+    block, e, mode, entries = wq.block, ctx.e, ctx.mode, []
     j, j_collapsed = block.i, False
-    for pc, w in ls.block_weights(ctx, block):
-        q = wq.q_of(pc)
-        kappa = block.core_of(pc)
-        if q is None or len(q) != ls.branch_count(pc):
-            raise ValueError(f"weight label carries {q} at {pc}: "
-                             f"expected {ls.branch_count(pc)} branches")
-        if sum(sum(p) for p in q) != w:
-            raise ValueError(f"branch sizes at {pc} do not sum to the "
-                             f"block weight")
+    for (pc, w), (qpc, q), (kpc, kappa) in zip(weights, wq.q, block.kappa):
+        if qpc != pc or kpc != pc:
+            break
+        if len(q) != ls.branch_count(pc) or sum(map(sum, q)) != w:
+            raise ValueError(f"weight label carries {q} at {pc}: expected "
+                             f"{ls.branch_count(pc)} branches of total size {w}")
         if pc.family != "F0":
             entries.append((pc, partcomb.from_core_quotient(kappa, q)))
             continue
@@ -105,7 +101,10 @@ def weight_to_brauer(ctx, wq):
             if j:
                 raise CheckFailed(f"degenerate {lam} carries j = {j}")
             j_collapsed = True
-    return IBrLabel(s=block.s, lam=tuple(entries), j=j, j_collapsed=j_collapsed)
+    if not len(entries) == len(wq.q) == len(block.kappa) == len(weights):
+        for assignment in (wq.q, block.kappa):
+            ls.check_classes(assignment, tuple(pc for pc, _ in weights))
+    return IBrLabel(block.s, tuple(entries), j, j_collapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,7 @@ def _field_on_semisimple(ctx, power, s):
 
 
 def _relabel_assignment(ctx, power, entries):
-    items = [(frobenius_class(pc, power, ctx), v) for pc, v in entries]
-    return tuple(sorted(items))
+    return tuple(sorted((frobenius_class(pc, power, ctx), v) for pc, v in entries))
 
 
 def act_on_block(ctx, action, x):
@@ -137,9 +135,7 @@ def act_on_block(ctx, action, x):
         return type(x)(_field_on_semisimple(ctx, action.power, s),
                        _relabel_assignment(ctx, action.power, assignment),
                        index, collapsed)
-    if collapsed:
-        return x
-    return type(x)(s, assignment, (index + 1) % 2, False)
+    return x if collapsed else type(x)(s, assignment, (index + 1) % 2, False)
 
 
 act_on_ibr = act_on_block
@@ -150,29 +146,28 @@ def _flip_half(seq):
     return seq[e:] + seq[:e]
 
 
-def act_on_weight(ctx, action, w):
-    """The action on a weight label in Q-form or K-form: field(i) relabels
-    the divisors, diagonal swaps the two halves of the X+1 sequence."""
+def act_on_weight(ctx, action, w, block):
+    """The action on a weight label in Q-form or K-form whose block it takes
+    to block (act_on_block, once per block): field(i) relabels the divisors,
+    diagonal swaps the two halves of the sequence at X+1, the first one."""
     if _is_identity(ctx, action):
         return w
-    entries = w.q if isinstance(w, WeightLabelQ) else w.k
+    entries = w[1]      # Q or K
     if action.kind == "field":
         entries = _relabel_assignment(ctx, action.power, entries)
     else:
-        entries = tuple((pc, _flip_half(v) if is_x_plus(pc) else v)
-                        for pc, v in entries)
-    return type(w)(act_on_block(ctx, action, w.block), entries)
+        entries = ((entries[0][0], _flip_half(entries[0][1])),) + entries[1:]
+    return type(w)(block, entries)
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-class BlockTable(namedtuple("BlockTable", "block pairs weights_q weights_k k_images")):
-    """One block and its labels, each computed once: its Brauer labels
-    with their weight labels in pairs (block_pairs), the Q and K weight
-    labels, and k_images, the Q form of each K weight label.  verify
-    builds one block's table at a time, checks it and drops it before the
-    next."""
+class BlockTable(namedtuple("BlockTable", "block weights pairs weights_q weights_k k_images")):
+    """One block and its labels, each computed once: its weights, its Brauer
+    labels with their weight labels in pairs (block_pairs), the Q and K
+    weight labels, and k_images, the Q form of each K weight label.  verify
+    builds, checks and drops one block's table at a time."""
     __slots__ = ()
 
 
@@ -212,7 +207,8 @@ def block_pairs(ctx, block):
 def block_table(ctx, block, pairs):
     """The table of block around its block_pairs: the weight side."""
     weights_k = ls.enumerate_weights_k(ctx, block)
-    return BlockTable(block, pairs, ls.enumerate_weights_q(ctx, block), weights_k,
+    return BlockTable(block, ls.block_weights(ctx, block), pairs,
+                      ls.enumerate_weights_q(ctx, block), weights_k,
                       [ls.k_to_q(ctx, wk) for wk in weights_k])
 
 
@@ -224,7 +220,7 @@ def verify_block(ctx, table, bijection, checks):
     weight label; equivariance looks moved labels up in it."""
     witnesses = {"bijection": _bijection_witness(ctx, table)}
     if "equivariance" in checks:
-        gens, moved = generators_of(ctx), {}
+        gens, moved = {g: act_on_block(ctx, g, table.block) for g in generators_of(ctx)}, {}
         violations = (verify_equivariance_of_block(ctx, table.pairs, bijection, gens, moved)
                       or verify_equivariance_of_k(ctx, table, gens, moved))
         witnesses["equivariance"] = violations[0] if violations else None
@@ -244,24 +240,27 @@ def _bijection_witness(ctx, table):
     """The first violation, or None: a Brauer label whose round trip fails;
     a weight hit twice; a Q weight missing from the image, or an image
     weight that is none; a k_to_q image that is no Q weight, or a Q weight
-    that no K weight reaches."""
+    that no K weight reaches.  The ordered passes run only when the three
+    weight sets differ, to find the first witness."""
     for ib, w in table.pairs:
-        back = weight_to_brauer(ctx, w)
+        back = weight_to_brauer(ctx, w, table.weights)
         if back != ib:
             return {"failure": "round_trip", "ibr": ls.ibr_jsonable(ib),
                     "weight": ls.weight_q_jsonable(ctx, w),
                     "back": ls.ibr_jsonable(back)}
+    weights_q, image = set(table.weights_q), {w for _, w in table.pairs}
+    if len(image) == len(table.pairs) and image == weights_q == set(table.k_images):
+        return None
     image = {}
     for ib, w in table.pairs:
         if w in image:
             return {"failure": "duplicated_weight", "ibr": ls.ibr_jsonable(ib),
                     "weight": ls.weight_q_jsonable(ctx, w)}
         image[w] = ib
-    weights_q, k_images = set(table.weights_q), set(table.k_images)
     for failure, found, wanted in (("missing_weight", table.weights_q, image),
                                    ("stray_weight", image, weights_q),
                                    ("k_to_q", table.k_images, weights_q),
-                                   ("missed_by_k_to_q", table.weights_q, k_images)):
+                                   ("missed_by_k_to_q", table.weights_q, set(table.k_images))):
         for w in found:
             if w not in wanted:
                 return {"failure": failure, "weight": ls.weight_q_jsonable(ctx, w)}
@@ -272,24 +271,23 @@ def _invariants_witness(ctx, table):
     """None when the Q form of every K weight label of the table's block
     passes audit_weight_label; else the failed check's message with the
     first weight label it failed on, in Q form."""
-    weights = ls.block_weights(ctx, table.block)
     for wq in table.k_images:
         try:
-            ls.audit_weight_label(wq, weights)
+            ls.audit_weight_label(wq, table.weights)
         except CheckFailed as exc:
             return {"message": str(exc), "weight": ls.weight_q_jsonable(ctx, wq)}
     return None
 
 
 def verify_equivariance_of_block(ctx, pairs, bijection, generators, moved):
-    """Violations of bijection[g(x)] = g(bijection[x]) on a block's pairs;
-    bijection maps every Brauer label of the rank, and a moved label
-    outside it is a violation.  moved[g, w] gets each g(w) computed."""
+    """Violations of bijection[g(x)] = g(bijection[x]) on a block's pairs for
+    each g of generators, {g: g(block)}; a moved label outside bijection, the
+    rank's, is a violation.  moved[g, w] gets each g(w) computed."""
     violations = []
     for ib, w in pairs:
-        for gen in generators:
+        for gen, block in generators.items():
             lhs = bijection.get(act_on_ibr(ctx, gen, ib))
-            rhs = moved[gen, w] = act_on_weight(ctx, gen, w)
+            rhs = moved[gen, w] = act_on_weight(ctx, gen, w, block)
             if lhs != rhs:
                 violations.append({"generator": str(gen), "ibr": ls.ibr_jsonable(ib),
                                    "lhs": None if lhs is None
@@ -300,12 +298,13 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators, moved):
 
 def verify_equivariance_of_k(ctx, table, generators, moved):
     """Violations of k_to_q(g(k)) = g(k_to_q(k)) on a table's K labels k,
-    named by their Q forms; g(k_to_q(k)) is read from moved if there."""
+    named by their Q forms, for each g of generators, {g: g(block)};
+    g(k_to_q(k)) is read from moved if there."""
     violations = []
-    for gen in generators:
+    for gen, block in generators.items():
         for wk, wq in zip(table.weights_k, table.k_images):
-            lhs = ls.k_to_q(ctx, act_on_weight(ctx, gen, wk))
-            rhs = moved.get((gen, wq)) or act_on_weight(ctx, gen, wq)
+            lhs = ls.k_to_q(ctx, act_on_weight(ctx, gen, wk, block))
+            rhs = moved.get((gen, wq)) or act_on_weight(ctx, gen, wq, block)
             if lhs != rhs:
                 violations.append({"generator": str(gen), "weight": ls.weight_q_jsonable(ctx, wq),
                                    "lhs": ls.weight_q_jsonable(ctx, lhs),

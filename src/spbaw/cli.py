@@ -135,7 +135,8 @@ def _build_report(ctx, n, checks):
     return report
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# A report, fresh dicts over memoized fragments of immutable labels, has no cycle.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _report_json(report):
@@ -253,8 +254,9 @@ def _usage(command):
 
 
 def _match(word, names):
-    """The one name of names that word is, or else is a prefix of."""
-    found = [word] if word in names else [n for n in names if n.startswith(word)]
+    """The one name of names that word is, or else is a prefix of: - and -- are none."""
+    found = ([word] if word in names else
+             [n for n in names if word.strip("-") and n.startswith(word)])
     if len(found) == 1:
         return found[0]
     raise ValueError(f"ambiguous option: {word} could match {', '.join(found)}" if found

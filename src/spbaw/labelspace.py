@@ -51,6 +51,18 @@ def _value_at(entries, pc, default=None):
     return default
 
 
+def check_classes(entries, classes):
+    """Raise ValueError unless the assignment entries lists exactly classes, in
+    order, naming the first class outside them, missing, out of order or twice."""
+    got = tuple(pc for pc, _ in entries)
+    wrong = ([(pc, "is outside them") for pc in got if pc not in classes]
+             + [(pc, "is missing") for pc in classes if pc not in got]
+             + [(a, "is out of order") for a, b in zip(got, classes) if a != b]
+             + [(pc, "is listed twice") for pc in got[len(classes):]])
+    if got != classes:
+        raise ValueError(f"the label lists the classes {got}, not {classes}: " + "%s %s" % wrong[0])
+
+
 # ---------------------------------------------------------------------------
 # semisimple labels
 
@@ -64,7 +76,7 @@ class _Label(tuple):
         return type(other) is type(self) and tuple.__eq__(self, other)
 
     def __ne__(self, other):
-        return not self.__eq__(other)
+        return type(other) is not type(self) or tuple.__ne__(self, other)
 
     __hash__ = tuple.__hash__
 
@@ -224,7 +236,8 @@ def block_weights(ctx, block):
 @lru_cache(maxsize=None)
 def block_classes(ctx, s):
     """The divisors carrying data over the semisimple label s: its support
-    plus X+1."""
+    plus X+1, in the order every kappa, lambda, Q and K lists them, which
+    the maps and actions walk.  X+1, of degree 1 and gamma (1, 1), is first."""
     classes = s.support()
     xp = x_plus_class(ctx)
     return classes if xp in classes else tuple(sorted(classes + (xp,)))
@@ -237,18 +250,16 @@ def _z2_indices(degenerate):
 
 
 def enumerate_blocks(ctx, n):
-    """All block labels (s, kappa, i) with kappa admissible for s."""
-    xp = x_plus_class(ctx)
+    """All block labels (s, kappa, i) with kappa admissible for s, in order."""
     out = []
     for s in enumerate_semisimple(ctx, n):
         choices = [[(pc, core) for core in
                     _component_table(*_component_key(ctx, s, pc))]
                    for pc in block_classes(ctx, s)]
         for kappa in product(*choices):
-            degenerate = symbcomb.is_degenerate(dict(kappa)[xp])
-            out.extend(BlockLabel(s=s, kappa=kappa, i=i, i_collapsed=c)
-                       for i, c in _z2_indices(degenerate))
-    return sorted(out)
+            out.extend(BlockLabel(s, kappa, i, c)
+                       for i, c in _z2_indices(symbcomb.is_degenerate(kappa[0][1])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +269,23 @@ class IBrLabel(_Label, namedtuple("IBrLabel", "s lam j j_collapsed")):
     """lam: sorted ((PolyClass, partition-or-symbol), ...)."""
     __slots__ = ()
 
-    def part_of(self, pc):
-        return _value_at(self.lam, pc)
-
     def __repr__(self):
         return f"IBrLabel(s={self.s!r}, lam={self.lam}, j={self.j})"
 
 
 def enumerate_ibr(ctx, block):
-    """The Brauer-character labels of a block: component cores equal to
-    kappa, with the Z/2 index collapsing on degenerate X+1 parts."""
-    xp = x_plus_class(ctx)
-    per_class = [[(pc, v) for v in
-                  _component_table(*_component_key(ctx, block.s, pc))[core]]
+    """The Brauer-character labels of a block, in order: component cores equal
+    to kappa, the Z/2 index collapsing on degenerate X+1 parts (kappa's first)."""
+    s, core_plus = block.s, block.kappa[0][1]
+    per_class = [[(pc, v) for v in _component_table(*_component_key(ctx, s, pc))[core]]
                  for pc, core in block.kappa]
-    out = []
-    core_plus = block.core_of(xp)
-    for lam in product(*per_class):
-        degenerate = symbcomb.is_degenerate(dict(lam)[xp])
-        if not symbcomb.is_degenerate(core_plus):
-            if degenerate:
-                raise AssertionError(f"degenerate {dict(lam)[xp]} over the "
-                                     f"non-degenerate core {core_plus}")
-            indices = ((block.i, False),)
-        else:
-            indices = _z2_indices(degenerate)
-        out.extend(IBrLabel(s=block.s, lam=lam, j=j, j_collapsed=c)
-                   for j, c in indices)
-    return sorted(out)
+    if symbcomb.is_degenerate(core_plus):
+        return [IBrLabel(s, lam, j, c) for lam in product(*per_class)
+                for j, c in _z2_indices(symbcomb.is_degenerate(lam[0][1]))]
+    for _, v in per_class[0]:
+        if symbcomb.is_degenerate(v):
+            raise AssertionError(f"degenerate {v} over the non-degenerate core {core_plus}")
+    return [IBrLabel(s, lam, block.i, False) for lam in product(*per_class)]
 
 
 def enumerate_ibr_universe(ctx, n):
@@ -293,7 +293,6 @@ def enumerate_ibr_universe(ctx, n):
     without reference to blocks (the global basic-set universe).  The
     tests' reference for semisimple_ibr_count."""
     out = []
-    xp = x_plus_class(ctx)
     for s in enumerate_semisimple(ctx, n):
         per_class = []
         for pc in block_classes(ctx, s):
@@ -301,13 +300,11 @@ def enumerate_ibr_universe(ctx, n):
             if pc.family != "F0":
                 vals = partcomb.enumerate_partitions(m)
             else:
-                tag = _defect_tag(pc, s.eta_plus)
-                vals = symbcomb.enumerate_symbols(m // 2, _DEFECTS[tag])
+                vals = symbcomb.enumerate_symbols(m // 2, _DEFECTS[_defect_tag(pc, s.eta_plus)])
             per_class.append([(pc, v) for v in vals])
         for lam in product(*per_class):
-            degenerate = symbcomb.is_degenerate(dict(lam)[xp])
-            out.extend(IBrLabel(s=s, lam=lam, j=j, j_collapsed=c)
-                       for j, c in _z2_indices(degenerate))
+            out.extend(IBrLabel(s, lam, j, c)
+                       for j, c in _z2_indices(symbcomb.is_degenerate(lam[0][1])))
     return sorted(out)
 
 
@@ -338,9 +335,6 @@ class WeightLabelQ(_Label, namedtuple("WeightLabelQ", "block q")):
     """q: sorted ((PolyClass, tuple of partitions), ...)."""
     __slots__ = ()
 
-    def q_of(self, pc):
-        return _value_at(self.q, pc)
-
 
 class WeightLabelK(_Label, namedtuple("WeightLabelK", "block k")):
     """k: sorted ((PolyClass, tuple of core towers), ...)."""
@@ -354,17 +348,18 @@ def branch_count(pc):
 
 def _weight_labels(ctx, block, label_cls, tuples_of):
     """One label_cls(block, entries) per choice of a branch_count-tuple
-    tuples_of(k, w_Gamma) at every divisor."""
+    tuples_of(k, w_Gamma) at every divisor, in order: tuples_of lists them
+    sorted, so their product is sorted."""
     per_class = [[(pc, t) for t in tuples_of(branch_count(pc), w)]
                  for pc, w in block_weights(ctx, block)]
-    return sorted(label_cls(block, x) for x in product(*per_class))
+    return [label_cls(block, x) for x in product(*per_class)]
 
 
 @lru_cache(maxsize=None)
 def _partition_tuples(k, w):
-    """The k-tuples of partitions of total size w, enumerated once per
-    shape."""
-    return tuple(partcomb.enumerate_tuples(k, w))
+    """The k-tuples of partitions of total size w, sorted, enumerated once
+    per shape."""
+    return tuple(sorted(partcomb.enumerate_tuples(k, w)))
 
 
 @lru_cache(maxsize=None)
@@ -374,9 +369,9 @@ def _core_towers(ell, v):
 
 @lru_cache(maxsize=None)
 def _tower_tuples(k, w, ell):
-    """The k-tuples of ell-core towers of total weighted size w,
+    """The k-tuples of ell-core towers of total weighted size w, sorted,
     enumerated once per shape."""
-    return tuple(partcomb.weighted_tuples(k, w, lambda v: _core_towers(ell, v)))
+    return tuple(sorted(partcomb.weighted_tuples(k, w, lambda v: _core_towers(ell, v))))
 
 
 def enumerate_weights_q(ctx, block):
@@ -394,15 +389,19 @@ def enumerate_weights_k(ctx, block):
 
 
 def k_to_q(ctx, wk):
-    q = tuple((pc, tuple(partcomb.tower_to_partition(tw, ctx.ell) for tw in fam))
-              for pc, fam in wk.k)
-    return WeightLabelQ(block=wk.block, q=q)
+    return WeightLabelQ(wk.block, tuple((pc, _family_to_q(fam, ctx.ell)) for pc, fam in wk.k))
+
+
+@lru_cache(maxsize=None)
+def _family_to_q(family, ell):
+    """A family of ell-core towers as partitions, converted once per family."""
+    return tuple(partcomb.tower_to_partition(tw, ell) for tw in family)
 
 
 def audit_weight_label(wq, weights):
     """The branches of a Q-form weight label sum to its block's weights
     ((pc, w_Gamma), ...) at every divisor."""
-    if tuple((pc, sum(sum(p) for p in fam)) for pc, fam in wq.q) != weights:
+    if tuple((pc, sum(map(sum, fam))) for pc, fam in wq.q) != weights:
         raise CheckFailed("branch sizes must sum to w")
     return True
 

@@ -46,10 +46,12 @@ def equivariance_violations(ctx, n, generators=(FIELD(1), DIAGONAL)):
     """The equivariance violations at rank n and the number of (label,
     generator) pairs checked, on the path verify takes: block_pairs,
     the rank's bijection and verify_equivariance_of_block."""
-    pairs = [bc.block_pairs(ctx, b) for b in ls.enumerate_blocks(ctx, n)]
+    blocks = ls.enumerate_blocks(ctx, n)
+    pairs = [bc.block_pairs(ctx, b) for b in blocks]
     bijection = bijection_of(pairs)
-    violations = [v for block_pairs in pairs for v in bc.verify_equivariance_of_block(
-        ctx, block_pairs, bijection, generators, {})]
+    violations = [v for b, block_pairs in zip(blocks, pairs)
+                  for v in bc.verify_equivariance_of_block(
+                      ctx, block_pairs, bijection, testonly.generators(ctx, b, generators), {})]
     return violations, sum(map(len, pairs)) * len(generators)
 
 
@@ -85,9 +87,9 @@ def test_inverse_round_trip():
         for ib in ls.enumerate_ibr(CTX35, b):
             w = bc.brauer_to_weight(CTX35, ib)
             assert w.block == b
-            assert bc.weight_to_brauer(CTX35, w) == ib
+            assert testonly.weight_to_brauer(CTX35, w) == ib
         for w in ls.enumerate_weights_q(CTX35, b):
-            ib = bc.weight_to_brauer(CTX35, w)
+            ib = testonly.weight_to_brauer(CTX35, w)
             assert bc.brauer_to_weight(CTX35, ib) == w
 
 
@@ -129,7 +131,7 @@ def _act(ctx, action, x):
         return bc.act_on_block(ctx, action, x)
     if isinstance(x, ls.IBrLabel):
         return bc.act_on_ibr(ctx, action, x)
-    return bc.act_on_weight(ctx, action, x)
+    return testonly.act_on_weight(ctx, action, x)
 
 
 @pytest.mark.parametrize("ctx,n", [(CTX35, 2), (CTX925, 1), (CTX53, 2)])
@@ -207,7 +209,7 @@ def test_verify_makes_no_idle_field_or_tower_work(monkeypatch, tmp_path):
     weights_k = [wk for b in ls.enumerate_blocks(CTX35, 2)
                  for wk in ls.enumerate_weights_k(CTX35, b)]
     assert Counter(wk for _, wk in calls["k_to_q"]) == Counter(weights_k) + Counter(
-        bc.act_on_weight(CTX35, DIAGONAL, wk) for wk in weights_k)
+        testonly.act_on_weight(CTX35, DIAGONAL, wk) for wk in weights_k)
     symbol_classes = calls["enumerate_symbols"]
     assert symbol_classes and len(symbol_classes) == len(set(symbol_classes))
     for name in ("symbols_with_core", "from_core_quotient_sym",
@@ -233,8 +235,8 @@ def test_diagonal_squared_and_laws():
         weights_k = [w for b in ls.enumerate_blocks(ctx, n)
                      for w in ls.enumerate_weights_k(ctx, b)]
         for act, labels in ((bc.act_on_ibr, all_ibrs(ctx, n)),
-                            (bc.act_on_weight, all_weights_q(ctx, n)),
-                            (bc.act_on_weight, weights_k)):
+                            (testonly.act_on_weight, all_weights_q(ctx, n)),
+                            (testonly.act_on_weight, weights_k)):
             for x in labels:
                 dx, fx = act(ctx, DIAGONAL, x), act(ctx, FIELD(1), x)
                 assert act(ctx, DIAGONAL, dx) == x
@@ -244,7 +246,7 @@ def test_diagonal_squared_and_laws():
 
 def test_diagonal_fixes_ibr_iff_degenerate():
     for ib in all_ibrs(CTX35, 2):
-        lam_plus = ib.part_of(ls.x_plus_class(CTX35))
+        lam_plus = dict(ib.lam)[ls.x_plus_class(CTX35)]
         fixed = bc.act_on_ibr(CTX35, DIAGONAL, ib) == ib
         assert fixed == symbcomb.is_degenerate(lam_plus)
 
@@ -285,23 +287,24 @@ def test_k_and_q_actions_commute_with_k_to_q():
     for b in ls.enumerate_blocks(CTX35, 2):
         for wk in ls.enumerate_weights_k(CTX35, b):
             for a in (FIELD(1), DIAGONAL):
-                lhs = ls.k_to_q(CTX35, bc.act_on_weight(CTX35, a, wk))
-                rhs = bc.act_on_weight(CTX35, a, ls.k_to_q(CTX35, wk))
+                lhs = ls.k_to_q(CTX35, testonly.act_on_weight(CTX35, a, wk))
+                rhs = testonly.act_on_weight(CTX35, a, ls.k_to_q(CTX35, wk))
                 assert lhs == rhs
     # and on the path verify takes, over F_9 too, where field(1) moves labels
     for ctx, n in [(CTX35, 2), (CTX925, 2), (CTX73, 2)]:
         for b in ls.enumerate_blocks(ctx, n):
             table = table_of(ctx, b)
             assert table.weights_k
-            assert not bc.verify_equivariance_of_k(ctx, table, [FIELD(1), DIAGONAL], {})
+            assert not bc.verify_equivariance_of_k(
+                ctx, table, testonly.generators(ctx, b, [FIELD(1), DIAGONAL]), {})
 
 
 def test_diagonal_fixes_weight_iff_symmetric():
     xp = ls.x_plus_class(CTX35)
     for b in ls.enumerate_blocks(CTX35, 2):
         for w in ls.enumerate_weights_q(CTX35, b):
-            fixed = bc.act_on_weight(CTX35, DIAGONAL, w) == w
-            q = w.q_of(xp)
+            fixed = testonly.act_on_weight(CTX35, DIAGONAL, w) == w
+            q = dict(w.q)[xp]
             e = CTX35.e
             symmetric = q[:e] == q[e:]
             assert fixed == (symmetric and b.i_collapsed)
@@ -314,7 +317,7 @@ def test_orbit_size_multisets_match():
                    for w in ls.enumerate_weights_q(ctx, b)]
         for a in (FIELD(1), DIAGONAL):
             si = testonly.orbit_sizes(ibrs, lambda x: bc.act_on_ibr(ctx, a, x))
-            sw = testonly.orbit_sizes(weights, lambda x: bc.act_on_weight(ctx, a, x))
+            sw = testonly.orbit_sizes(weights, lambda x: testonly.act_on_weight(ctx, a, x))
             assert si == sw
 
 
@@ -322,7 +325,7 @@ def test_radical_shape_field_invariance():
     for b in ls.enumerate_blocks(CTX925, 1):
         for wk in ls.enumerate_weights_k(CTX925, b):
             shape = testonly.radical_shape(CTX925, wk)
-            moved = bc.act_on_weight(CTX925, FIELD(1), wk)
+            moved = testonly.act_on_weight(CTX925, FIELD(1), wk)
             moved_shape = testonly.radical_shape(CTX925, moved)
             # the shape is carried along the divisor relabeling
             from spbaw.ffpoly import frobenius_class
@@ -338,7 +341,64 @@ def test_weight_to_brauer_rejects_malformed_labels():
     bad_q = tuple((pc, ((2, 1),) * len(v) if pc == xm else v) for pc, v in w.q)
     bad = ls.WeightLabelQ(block=b, q=bad_q)
     with pytest.raises((AssertionError, ValueError)):
-        bc.weight_to_brauer(CTX35, bad)
+        testonly.weight_to_brauer(CTX35, bad)
+
+
+def malformed_assignments(entries, other):
+    """entries, an assignment, with its last class missing, with the class
+    other added in class order, with its classes reversed and with its last
+    class listed twice: each with the class its refusal names, and how."""
+    last = entries[-1][0]
+    return {"missing": (entries[:-1], last, "is missing"),
+            "extra": (tuple(sorted(entries + ((other, entries[-1][1]),))), other,
+                      "is outside them"),
+            "reversed": (entries[::-1], last, "is out of order"),
+            "repeated": (entries + entries[-1:], last, "is listed twice")}
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra", "reversed", "repeated"])
+@pytest.mark.parametrize("direction", ["brauer_to_weight", "weight_to_brauer"])
+def test_both_maps_refuse_labels_off_their_block_classes(direction, fault):
+    # both maps walk a label's classes in step with block_classes(ctx, s):
+    # one missing, one outside the block, one out of order or one listed
+    # twice is refused, naming the class
+    b = ls.enumerate_blocks(CTX35, 2)[0]
+    classes = ls.block_classes(CTX35, b.s)
+    assert len(classes) >= 2
+    other = next(pc for s in ls.enumerate_semisimple(CTX35, 2)
+                 for pc in s.support() if pc not in classes)
+    ib = ls.enumerate_ibr(CTX35, b)[0]
+    wq, weights = bc.brauer_to_weight(CTX35, ib), ls.block_weights(CTX35, b)
+    assert bc.weight_to_brauer(CTX35, wq, weights) == ib
+    entries, apply = {
+        "brauer_to_weight": (ib.lam, lambda lam: bc.brauer_to_weight(CTX35, ib._replace(lam=lam))),
+        "weight_to_brauer": (wq.q, lambda q: bc.weight_to_brauer(CTX35, wq._replace(q=q), weights)),
+    }[direction]
+    bad, named, how = malformed_assignments(entries, other)[fault]
+    with pytest.raises(ValueError) as exc:
+        apply(bad)
+    assert str(exc.value).endswith(f"{named!r} {how}"), exc.value
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2)])
+def test_weight_side_acts_on_each_block_once_per_generator(tmp_path, monkeypatch, p, f):
+    # verify_block acts on its block once per generator and hands the
+    # image to act_on_weight, which no longer rebuilds it for every label
+    from spbaw import cli
+    ctx = make_context(p, f, 5)
+    acted = Counter()
+    act_on_block = bc.act_on_block
+
+    def counted(ctx, action, x):
+        acted[action, x] += 1
+        return act_on_block(ctx, action, x)
+
+    monkeypatch.setattr(bc, "act_on_block", counted)
+    assert cli.main(["verify", "--p", str(p), "--f", str(f), "--ell", "5", "--n", "2",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    blocks = ls.enumerate_blocks(ctx, 2)
+    assert acted == Counter({(g, b): 1 for b in blocks for g in bc.generators_of(ctx)})
+    assert len(bc.generators_of(ctx)) == f
 
 
 def test_degenerate_part_with_unequal_chains_is_rejected(monkeypatch):
@@ -346,7 +406,7 @@ def test_degenerate_part_with_unequal_chains_is_rejected(monkeypatch):
     # they name no weight
     xp = ls.x_plus_class(CTX35)
     ib = next(ib for ib in all_ibrs(CTX35, 2)
-              if ib.part_of(xp) == symbcomb.LSymbol((1,), (1,)))
+              if dict(ib.lam)[xp] == symbcomb.LSymbol((1,), (1,)))
     extract = symbcomb._extract
 
     def unequal(sym, e, mode):
@@ -366,10 +426,10 @@ def test_degenerate_reconstruction_with_index_one_is_rejected(monkeypatch):
     wq = next(w for b in ls.enumerate_blocks(CTX35, 2)
               if symbcomb.is_degenerate(b.core_of(xp))
               for w in ls.enumerate_weights_q(CTX35, b)
-              if w.q_of(xp)[:e] > w.q_of(xp)[e:])
+              if dict(w.q)[xp][:e] > dict(w.q)[xp][e:])
     monkeypatch.setattr(symbcomb, "_attach", lambda core, A, B, e, mode: core)
     with pytest.raises(ls.CheckFailed, match="carries"):
-        bc.weight_to_brauer(CTX35, wq)
+        testonly.weight_to_brauer(CTX35, wq)
 
 
 def test_readme_library_example_runs():
@@ -387,7 +447,7 @@ def test_degeneracy_transport():
             ibr_set = set(ls.enumerate_ibr(ctx, b))
             w_set = set(ls.enumerate_weights_q(ctx, b))
             moved_ibr = {bc.act_on_ibr(ctx, DIAGONAL, x) for x in ibr_set}
-            moved_w = {bc.act_on_weight(ctx, DIAGONAL, x) for x in w_set}
+            moved_w = {testonly.act_on_weight(ctx, DIAGONAL, x) for x in w_set}
             partner = bc.act_on_block(ctx, DIAGONAL, b)
             if b.i_collapsed:
                 assert partner == b
@@ -414,14 +474,14 @@ def test_deep_core_towers_end_to_end():
         report = bijection_report(ctx, tables[b])
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
-        assert not bc.verify_equivariance_of_block(ctx, tables[b].pairs, bijection,
-                                                   [FIELD(1), DIAGONAL], {})
+        assert not bc.verify_equivariance_of_block(
+            ctx, tables[b].pairs, bijection, testonly.generators(ctx, b, [FIELD(1), DIAGONAL]), {})
         for wk in ks:
             for pc, fam in wk.k:
                 deep_seen += sum(1 for tw in fam if len(tw) > 1)
             for a in (FIELD(1), DIAGONAL):
-                assert ls.k_to_q(ctx, bc.act_on_weight(ctx, a, wk)) == \
-                    bc.act_on_weight(ctx, a, ls.k_to_q(ctx, wk))
+                assert ls.k_to_q(ctx, testonly.act_on_weight(ctx, a, wk)) == \
+                    testonly.act_on_weight(ctx, a, ls.k_to_q(ctx, wk))
     assert deep_seen > 0
 
 
@@ -439,8 +499,8 @@ def test_e_three_modes_with_positive_weight(p, ell):
     for t in tables:
         r = bijection_report(ctx, t)
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
-        assert not bc.verify_equivariance_of_block(ctx, t.pairs, bijection,
-                                                   [FIELD(1), DIAGONAL], {})
+        assert not bc.verify_equivariance_of_block(
+            ctx, t.pairs, bijection, testonly.generators(ctx, t.block, [FIELD(1), DIAGONAL]), {})
 
 
 def test_field_equivariance_where_the_action_moves_blocks():
@@ -494,8 +554,8 @@ def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
 
     monkeypatch.setattr(bc, "act_on_ibr", stray)
     for b, t in tables.items():
-        violations = bc.verify_equivariance_of_block(CTX35, t.pairs, bijection,
-                                                     [FIELD(1), DIAGONAL], {})
+        violations = bc.verify_equivariance_of_block(
+            CTX35, t.pairs, bijection, testonly.generators(CTX35, b, [FIELD(1), DIAGONAL]), {})
         assert bool(violations) == (b == block)
         assert all(v["lhs"] is None for v in violations)
 
@@ -532,8 +592,8 @@ def test_each_weight_side_fault_names_its_witness(failure):
 def diagonal_fixes(monkeypatch, name, y):
     """Patch the action bc.<name> so that diagonal fixes the label y."""
     act = getattr(bc, name)
-    monkeypatch.setattr(bc, name, lambda ctx, action, x: (
-        x if action == DIAGONAL and x == y else act(ctx, action, x)))
+    monkeypatch.setattr(bc, name, lambda ctx, action, x, *block: (
+        x if action == DIAGONAL and x == y else act(ctx, action, x, *block)))
 
 
 def test_diagonal_that_fixes_an_image_breaks_its_square(monkeypatch):
@@ -554,16 +614,17 @@ def test_diagonal_that_fixes_a_field_image_breaks_the_commutation(monkeypatch):
     # at f = 1 field(1) fixes every label, so the commutation law can only
     # fail at f = 2: diagonal fixes y = field(1) x, and not field(1)
     # diagonal x; equivariance fails at the Brauer label of y
-    act = bc.act_on_weight
+    act = testonly.act_on_weight
     x = next(w for w in all_weights_q(CTX925, 2)
              if len({w, act(CTX925, FIELD(1), w), act(CTX925, DIAGONAL, w)}) == 3)
     y = act(CTX925, FIELD(1), x)
+    diagonal_y = act(CTX925, DIAGONAL, y)   # before diagonal is made to fix y
     diagonal_fixes(monkeypatch, "act_on_weight", y)
     violations, _ = equivariance_violations(CTX925, 2)
     assert violations == [{
         "generator": "diagonal",
-        "ibr": ls.ibr_jsonable(bc.weight_to_brauer(CTX925, y)),
-        "lhs": ls.weight_q_jsonable(CTX925, act(CTX925, DIAGONAL, y)),
+        "ibr": ls.ibr_jsonable(testonly.weight_to_brauer(CTX925, y)),
+        "lhs": ls.weight_q_jsonable(CTX925, diagonal_y),
         "rhs": ls.weight_q_jsonable(CTX925, y)}]
 
 
@@ -618,13 +679,14 @@ def test_each_class_law_names_its_witness(law, monkeypatch):
 def test_k_label_fault_names_its_equivariance_witness(monkeypatch):
     # diagonal leaves K labels unmoved: k_to_q(diagonal k) = k_to_q(k),
     # while diagonal moves k_to_q(k) wherever its X+1 halves differ
-    act = bc.act_on_weight
-    monkeypatch.setattr(bc, "act_on_weight", lambda ctx, a, w: (
-        w if a == DIAGONAL and isinstance(w, ls.WeightLabelK) else act(ctx, a, w)))
+    act, act_on_weight = testonly.act_on_weight, bc.act_on_weight
+    monkeypatch.setattr(bc, "act_on_weight", lambda ctx, a, w, block: (
+        w if a == DIAGONAL and isinstance(w, ls.WeightLabelK) else act_on_weight(ctx, a, w, block)))
     failing = 0
     for b in ls.enumerate_blocks(CTX35, 2):
         table = table_of(CTX35, b)
-        violations = bc.verify_equivariance_of_k(CTX35, table, [FIELD(1), DIAGONAL], {})
+        violations = bc.verify_equivariance_of_k(
+            CTX35, table, testonly.generators(CTX35, b, [FIELD(1), DIAGONAL]), {})
         moved = [wq for wq in table.k_images if act(CTX35, DIAGONAL, wq) != wq]
         assert [v["weight"] for v in violations] == [
             ls.weight_q_jsonable(CTX35, wq) for wq in moved]

@@ -354,10 +354,10 @@ def test_verify_acts_by_field_one_only_where_it_moves_labels(tmp_path, monkeypat
     def counted(name):
         act = getattr(bc, name)
 
-        def wrapper(ctx, action, x):
+        def wrapper(ctx, action, x, *block):
             if action == bc.FIELD(1):
                 acted[type(x).__name__] += 1
-            return act(ctx, action, x)
+            return act(ctx, action, x, *block)
         monkeypatch.setattr(bc, name, wrapper)
 
     counted("act_on_ibr")
@@ -492,9 +492,9 @@ _BREAK_K_DIAGONAL = """
 import spbaw.bawcheck as bc
 from spbaw.labelspace import WeightLabelK
 act_on_weight = bc.act_on_weight
-bc.act_on_weight = lambda ctx, action, w: (
+bc.act_on_weight = lambda ctx, action, w, block: (
     w if action == bc.DIAGONAL and isinstance(w, WeightLabelK)
-    else act_on_weight(ctx, action, w))
+    else act_on_weight(ctx, action, w, block))
 """
 _BREAK_BIJECTION = """
 import sys
@@ -920,6 +920,12 @@ _REQUIRED = ["--p", "3", "--ell", "5", "--n", "1"]
     (["blocks", *_REQUIRED, "--checks", "counts"], "unrecognized arguments: --checks"),
     ([], "the first argument must be a command: blocks, verify, sweep"),
     (["check", *_REQUIRED], "the first argument must be a command: blocks, verify, sweep"),
+    # a bare - or -- names no option, though every option starts with it
+    (["verify", *_REQUIRED, "--"], "unrecognized arguments: --"),
+    (["verify", *_REQUIRED, "-"], "unrecognized arguments: -"),
+    (["sweep", "--", *_REQUIRED], "unrecognized arguments: --"),
+    (["--"], "unrecognized arguments: --"),
+    (["-"], "unrecognized arguments: -"),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.setenv("SP_BAW_CACHE_DIR", str(tmp_path / "cache"))

@@ -64,9 +64,9 @@ def fixed_labels(ctx, n, *actions):
     for block in ls.enumerate_blocks(ctx, n):
         ibr += sum(image(bc.act_on_ibr, x) == x
                    for x in ls.enumerate_ibr(ctx, block))
-        weights_q += sum(image(bc.act_on_weight, x) == x
+        weights_q += sum(image(testonly.act_on_weight, x) == x
                          for x in ls.enumerate_weights_q(ctx, block))
-        weights_k += sum(image(bc.act_on_weight, x) == x
+        weights_k += sum(image(testonly.act_on_weight, x) == x
                          for x in ls.enumerate_weights_k(ctx, block))
     return ibr, weights_q, weights_k
 

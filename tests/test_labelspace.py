@@ -3,8 +3,10 @@ import sys
 import pytest
 
 from spbaw import bawcheck as bc, ffpoly, labelspace as ls, partcomb, symbcomb
+from spbaw.bawcheck import DIAGONAL, FIELD
 from spbaw.fieldctx import make_context
 from spbaw.symbcomb import LSymbol
+from test_acceptance import CONFIGS
 import testonly
 
 
@@ -304,14 +306,16 @@ def test_eta_split_gives_disjoint_blocks():
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_weight_tuple_tables_match_the_enumerators(ell):
+    # each table lists its enumerator's tuples sorted, so that the weight
+    # label enumerators build their labels in order with no sort
     for k in range(7):
         for w in range(6):
             towers = ls._tower_tuples(k, w, ell)
-            assert list(towers) == partcomb.weighted_tuples(
-                k, w, lambda v: partcomb.enumerate_core_towers(ell, v))
+            assert list(towers) == sorted(partcomb.weighted_tuples(
+                k, w, lambda v: partcomb.enumerate_core_towers(ell, v)))
             assert ls._tower_tuples(k, w, ell) is towers
             parts = ls._partition_tuples(k, w)
-            assert list(parts) == partcomb.enumerate_tuples(k, w)
+            assert list(parts) == sorted(partcomb.enumerate_tuples(k, w))
             assert ls._partition_tuples(k, w) is parts
 
 
@@ -345,3 +349,49 @@ def test_a_q_fragment_is_never_a_lambda_fragment():
             assert ls.ibr_jsonable(ib)["lambda"] == lam
         assert ls.weight_q_jsonable(ctx, w)["Q"] == q
         assert ls.ibr_jsonable(ib)["lambda"] == lam
+
+
+@pytest.mark.parametrize("p,f,ell,n", [(p, 1, ell, n) for n, p, ell in CONFIGS]
+                         + [(3, 2, 5, 2), (3, 2, 7, 1)])
+def test_labels_list_their_classes_in_block_class_order(p, f, ell, n):
+    # the maps and actions walk kappa, lambda, Q and K in step with
+    # block_classes, and read X+1 first; the actions' images keep the order
+    ctx = make_context(p, f, ell)
+    xp = ls.x_plus_class(ctx)
+    for b in ls.enumerate_blocks(ctx, n):
+        for x in [b, *ls.enumerate_ibr(ctx, b), *ls.enumerate_weights_q(ctx, b),
+                  *ls.enumerate_weights_k(ctx, b)]:
+            weight = isinstance(x, (ls.WeightLabelQ, ls.WeightLabelK))
+            act = testonly.act_on_weight if weight else bc.act_on_block
+            for y in (x, act(ctx, FIELD(1), x), act(ctx, DIAGONAL, x)):
+                classes = tuple(pc for pc, _ in y[1])
+                assert classes == ls.block_classes(ctx, y.block.s if weight else y.s), y
+                assert classes[0] == xp
+
+
+@pytest.mark.parametrize("p,f,ell,n", [(3, 1, 5, 3), (3, 2, 5, 2), (3, 1, 11, 3)])
+def test_k_to_q_converts_each_family_as_its_towers(p, f, ell, n):
+    # k_to_q converts a class's family of towers at once, through a memo
+    # keyed by the family; the result is the tower-by-tower conversion
+    ctx = make_context(p, f, ell)
+    longest = 0
+    for b in ls.enumerate_blocks(ctx, n):
+        for wk in ls.enumerate_weights_k(ctx, b):
+            q = tuple((pc, tuple(partcomb.tower_to_partition(tw, ell) for tw in fam))
+                      for pc, fam in wk.k)
+            assert ls.k_to_q(ctx, wk) == ls.WeightLabelQ(b, q)
+            longest = max(longest, *(len(fam) for _, fam in wk.k))
+    assert longest == 2 * ctx.e   # at ell = 11, e = 5: ten towers at X+-1
+
+
+def test_a_malformed_family_is_refused_on_every_call():
+    # the memo keeps no result for a family it refused
+    b = ls.enumerate_blocks(CTX35, 1)[0]
+    wk = ls.enumerate_weights_k(CTX35, b)[0]
+    bad = ((), (((1,), (2,)),))     # level 0 of the second tower holds two entries
+    bad_k = ls.WeightLabelK(b, ((wk.k[0][0], bad),) + wk.k[1:])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="malformed tower level 0"):
+            ls.k_to_q(CTX35, bad_k)
+        with pytest.raises(ValueError, match="malformed tower level 0"):
+            ls._family_to_q(bad, CTX35.ell)

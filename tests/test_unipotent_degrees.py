@@ -109,7 +109,7 @@ def test_weight_zero_unipotent_blocks_are_the_defect_zero_characters(p, f, ell):
             w = sum(w for _, w in ls.block_weights(ctx, b))
             labels = ls.enumerate_ibr(ctx, b)
             for ib in labels:
-                rows = tuple(ib.part_of(xm))
+                rows = tuple(dict(ib.lam)[xm])
                 seen.add(rows)
                 assert is_defect_zero(*rows, n, q, ell) == (w == 0), (n, b, rows)
             if w == 0:

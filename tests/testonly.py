@@ -114,6 +114,23 @@ def act_on_semisimple(ctx, action, s):
     return bc._field_on_semisimple(ctx, action.power, s)
 
 
+def act_on_weight(ctx, action, w):
+    """bc.act_on_weight with the action on w's block, which verify takes
+    once per block, computed for this label."""
+    return bc.act_on_weight(ctx, action, w, bc.act_on_block(ctx, action, w.block))
+
+
+def weight_to_brauer(ctx, wq):
+    """bc.weight_to_brauer with the weights of wq's block looked up."""
+    return bc.weight_to_brauer(ctx, wq, ls.block_weights(ctx, wq.block))
+
+
+def generators(ctx, block, gens):
+    """{g: g(block)} for the automorphisms gens, as the equivariance
+    drivers take them."""
+    return {g: bc.act_on_block(ctx, g, block) for g in gens}
+
+
 def q_to_k(ctx, wq):
     k = tuple((pc, tuple(core_tower(p, ctx.ell) for p in fam))
               for pc, fam in wq.q)
