@@ -220,9 +220,9 @@ def verify_block(ctx, table, bijection, checks):
     weight label; equivariance looks moved labels up in it."""
     witnesses = {"bijection": _bijection_witness(ctx, table)}
     if "equivariance" in checks:
-        gens, moved = {g: act_on_block(ctx, g, table.block) for g in generators_of(ctx)}, {}
-        violations = (verify_equivariance_of_block(ctx, table.pairs, bijection, gens, moved)
-                      or verify_equivariance_of_k(ctx, table, gens, moved))
+        gens = {g: act_on_block(ctx, g, table.block) for g in generators_of(ctx)}
+        violations = (verify_equivariance_of_block(ctx, table.pairs, bijection, gens)
+                      or verify_equivariance_of_k(ctx, table, gens))
         witnesses["equivariance"] = violations[0] if violations else None
     if "invariants" in checks:
         witnesses["invariants"] = _invariants_witness(ctx, table)
@@ -279,15 +279,15 @@ def _invariants_witness(ctx, table):
     return None
 
 
-def verify_equivariance_of_block(ctx, pairs, bijection, generators, moved):
+def verify_equivariance_of_block(ctx, pairs, bijection, generators):
     """Violations of bijection[g(x)] = g(bijection[x]) on a block's pairs for
     each g of generators, {g: g(block)}; a moved label outside bijection, the
-    rank's, is a violation.  moved[g, w] gets each g(w) computed."""
+    rank's, is a violation."""
     violations = []
     for ib, w in pairs:
         for gen, block in generators.items():
             lhs = bijection.get(act_on_ibr(ctx, gen, ib))
-            rhs = moved[gen, w] = act_on_weight(ctx, gen, w, block)
+            rhs = act_on_weight(ctx, gen, w, block)
             if lhs != rhs:
                 violations.append({"generator": str(gen), "ibr": ls.ibr_jsonable(ib),
                                    "lhs": None if lhs is None
@@ -296,15 +296,14 @@ def verify_equivariance_of_block(ctx, pairs, bijection, generators, moved):
     return violations
 
 
-def verify_equivariance_of_k(ctx, table, generators, moved):
+def verify_equivariance_of_k(ctx, table, generators):
     """Violations of k_to_q(g(k)) = g(k_to_q(k)) on a table's K labels k,
-    named by their Q forms, for each g of generators, {g: g(block)};
-    g(k_to_q(k)) is read from moved if there."""
+    named by their Q forms, for each g of generators, {g: g(block)}."""
     violations = []
     for gen, block in generators.items():
         for wk, wq in zip(table.weights_k, table.k_images):
             lhs = ls.k_to_q(ctx, act_on_weight(ctx, gen, wk, block))
-            rhs = moved.get((gen, wq)) or act_on_weight(ctx, gen, wq, block)
+            rhs = act_on_weight(ctx, gen, wq, block)
             if lhs != rhs:
                 violations.append({"generator": str(gen), "weight": ls.weight_q_jsonable(ctx, wq),
                                    "lhs": ls.weight_q_jsonable(ctx, lhs),

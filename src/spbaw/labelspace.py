@@ -43,14 +43,6 @@ def is_x_plus(pc):
     return pc.family == "F0" and pc.gamma == (1, 1)
 
 
-def _value_at(entries, pc, default=None):
-    """The value at pc of a ((PolyClass, value), ...) assignment."""
-    for c, v in entries:
-        if c == pc:
-            return v
-    return default
-
-
 def check_classes(entries, classes):
     """Raise ValueError unless the assignment entries lists exactly classes, in
     order, naming the first class outside them, missing, out of order or twice."""
@@ -86,9 +78,6 @@ class SemisimpleLabel(namedtuple("SemisimpleLabel", "entries eta_plus eta_minus"
     sorted ((PolyClass, mult), ...), mult >= 1; eta_plus: the sign at X+1,
     present iff its multiplicity > 0."""
     __slots__ = ()
-
-    def mult(self, pc):
-        return _value_at(self.entries, pc, 0)
 
     def support(self):
         return tuple(c for c, _ in self.entries)
@@ -158,9 +147,6 @@ class BlockLabel(_Label, namedtuple("BlockLabel", "s kappa i i_collapsed")):
     """kappa: sorted ((PolyClass, core), ...), core partition or LSymbol."""
     __slots__ = ()
 
-    def core_of(self, pc):
-        return _value_at(self.kappa, pc)
-
     def __repr__(self):
         return f"BlockLabel(s={self.s!r}, kappa={self.kappa}, i={self.i})"
 
@@ -198,11 +184,10 @@ def _component_table(tag, size, e, mode):
     return {core: tuple(sorted(groups[core])) for core in sorted(groups)}
 
 
-def _component_key(ctx, s, pc):
-    """The _component_table key of the components at pc over s: the
-    partitions of the multiplicity by e_Gamma-core at F1/F2, the symbols of
+def _component_key(ctx, s, pc, m):
+    """The _component_table key of the components at pc, of multiplicity m
+    over s: the partitions of m by e_Gamma-core at F1/F2, the symbols of
     half of it in their defect class at X+-1."""
-    m = s.mult(pc)
     if pc.family != "F0":
         return ("partition", m, pc.e_gamma, None)
     return (_defect_tag(pc, s.eta_plus), m // 2, ctx.e, ctx.mode)
@@ -216,10 +201,9 @@ def _core_share(pc, core):
     return 2 * symbcomb.rank(core) + (1 if is_x_minus(pc) else 0)
 
 
-def weight_of(block, pc):
-    """The weight w_Gamma: the multiplicity less the core's share, in steps
-    of branch_count."""
-    m, core = block.s.mult(pc), block.core_of(pc)
+def weight_of(pc, m, core):
+    """The weight w_Gamma at pc: the multiplicity m less the share of the
+    core, in steps of branch_count."""
     lhs, step = m - _core_share(pc, core), branch_count(pc)
     if lhs < 0 or lhs % step:
         raise ValueError(f"no nonnegative integer weight at {pc}: m={m}, core={core}")
@@ -230,17 +214,33 @@ def weight_of(block, pc):
 def block_weights(ctx, block):
     """((pc, w_Gamma), ...) over block_classes: a block's weights, computed
     once per block for its label enumerators, its report and its checks."""
-    return tuple((pc, weight_of(block, pc)) for pc in block_classes(ctx, block.s))
+    return tuple((pc, weight_of(pc, m, core)) for pc, m, core in _class_walk(ctx, block))
+
+
+def class_mults(ctx, s):
+    """((pc, m), ...): the divisors carrying data over the semisimple label s
+    and their multiplicities, in the order every kappa, lambda, Q and K lists
+    them.  X+1, of degree 1 and gamma (1, 1), is the least class: s.entries
+    holds it first if at all, and else (X+1, 0) is put first."""
+    xp = x_plus_class(ctx)
+    return s.entries if s.entries[0][0] == xp else ((xp, 0),) + s.entries
 
 
 @lru_cache(maxsize=None)
 def block_classes(ctx, s):
-    """The divisors carrying data over the semisimple label s: its support
-    plus X+1, in the order every kappa, lambda, Q and K lists them, which
-    the maps and actions walk.  X+1, of degree 1 and gamma (1, 1), is first."""
-    classes = s.support()
-    xp = x_plus_class(ctx)
-    return classes if xp in classes else tuple(sorted(classes + (xp,)))
+    """The classes of class_mults(ctx, s)."""
+    return tuple(pc for pc, _ in class_mults(ctx, s))
+
+
+def _class_walk(ctx, block):
+    """(pc, m, core) per class of class_mults(ctx, block.s), walked in step
+    with kappa, which check_classes refuses unless it lists the same classes
+    in order: no core meets another class's multiplicity."""
+    mults = class_mults(ctx, block.s)
+    walk = [(pc, m, core) for (pc, m), (kpc, core) in zip(mults, block.kappa) if pc == kpc]
+    if not len(walk) == len(mults) == len(block.kappa):
+        check_classes(block.kappa, block_classes(ctx, block.s))
+    return walk
 
 
 def _z2_indices(degenerate):
@@ -254,8 +254,8 @@ def enumerate_blocks(ctx, n):
     out = []
     for s in enumerate_semisimple(ctx, n):
         choices = [[(pc, core) for core in
-                    _component_table(*_component_key(ctx, s, pc))]
-                   for pc in block_classes(ctx, s)]
+                    _component_table(*_component_key(ctx, s, pc, m))]
+                   for pc, m in class_mults(ctx, s)]
         for kappa in product(*choices):
             out.extend(BlockLabel(s, kappa, i, c)
                        for i, c in _z2_indices(symbcomb.is_degenerate(kappa[0][1])))
@@ -277,8 +277,8 @@ def enumerate_ibr(ctx, block):
     """The Brauer-character labels of a block, in order: component cores equal
     to kappa, the Z/2 index collapsing on degenerate X+1 parts (kappa's first)."""
     s, core_plus = block.s, block.kappa[0][1]
-    per_class = [[(pc, v) for v in _component_table(*_component_key(ctx, s, pc))[core]]
-                 for pc, core in block.kappa]
+    per_class = [[(pc, v) for v in _component_table(*_component_key(ctx, s, pc, m))[core]]
+                 for pc, m, core in _class_walk(ctx, block)]
     if symbcomb.is_degenerate(core_plus):
         return [IBrLabel(s, lam, j, c) for lam in product(*per_class)
                 for j, c in _z2_indices(symbcomb.is_degenerate(lam[0][1]))]
@@ -295,8 +295,7 @@ def enumerate_ibr_universe(ctx, n):
     out = []
     for s in enumerate_semisimple(ctx, n):
         per_class = []
-        for pc in block_classes(ctx, s):
-            m = s.mult(pc)
+        for pc, m in class_mults(ctx, s):
             if pc.family != "F0":
                 vals = partcomb.enumerate_partitions(m)
             else:
@@ -323,8 +322,8 @@ def semisimple_ibr_count(ctx, s):
     """The Brauer labels over the semisimple label s, counted: the product
     of the component counts at its divisors.  Nothing is built."""
     count = 1
-    for pc in block_classes(ctx, s):
-        count *= _component_count(_component_key(ctx, s, pc))
+    for pc, m in class_mults(ctx, s):
+        count *= _component_count(_component_key(ctx, s, pc, m))
     return count
 
 

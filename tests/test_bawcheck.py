@@ -51,7 +51,7 @@ def equivariance_violations(ctx, n, generators=(FIELD(1), DIAGONAL)):
     bijection = bijection_of(pairs)
     violations = [v for b, block_pairs in zip(blocks, pairs)
                   for v in bc.verify_equivariance_of_block(
-                      ctx, block_pairs, bijection, testonly.generators(ctx, b, generators), {})]
+                      ctx, block_pairs, bijection, testonly.generators(ctx, b, generators))]
     return violations, sum(map(len, pairs)) * len(generators)
 
 
@@ -76,7 +76,7 @@ def test_linear_prime_exercises_all_families():
     seen = set()
     for b in ls.enumerate_blocks(CTX73, 2):
         for pc in ls.block_classes(CTX73, b.s):
-            w = ls.weight_of(b, pc)
+            w = testonly.weight_of(b, pc)
             if w:
                 seen.add((pc.family, w))
     assert {("F0", 1), ("F0", 2), ("F1", 1), ("F2", 1)} <= seen
@@ -97,7 +97,7 @@ def test_degenerate_block_j_doubling():
     # the n=2 identity-class block with weight 1 at X-1: four Brauer labels
     xm = ls.x_minus_class(CTX35)
     blocks = [b for b in ls.enumerate_blocks(CTX35, 2)
-              if len(b.s.entries) == 1 and ls.weight_of(b, xm) == 1]
+              if len(b.s.entries) == 1 and testonly.weight_of(b, xm) == 1]
     assert len(blocks) == 1
     b = blocks[0]
     ibrs = ls.enumerate_ibr(CTX35, b)
@@ -296,7 +296,7 @@ def test_k_and_q_actions_commute_with_k_to_q():
             table = table_of(ctx, b)
             assert table.weights_k
             assert not bc.verify_equivariance_of_k(
-                ctx, table, testonly.generators(ctx, b, [FIELD(1), DIAGONAL]), {})
+                ctx, table, testonly.generators(ctx, b, [FIELD(1), DIAGONAL]))
 
 
 def test_diagonal_fixes_weight_iff_symmetric():
@@ -380,6 +380,22 @@ def test_both_maps_refuse_labels_off_their_block_classes(direction, fault):
     assert str(exc.value).endswith(f"{named!r} {how}"), exc.value
 
 
+@pytest.mark.parametrize("fault", ["missing", "extra", "reversed", "repeated"])
+@pytest.mark.parametrize("reader", ["block_weights", "enumerate_ibr"])
+def test_block_readers_refuse_a_kappa_off_its_block_classes(reader, fault):
+    # block_weights and enumerate_ibr walk kappa in step with the classes
+    # and multiplicities of s: a kappa off those classes is refused, naming
+    # the class, before a core meets another class's multiplicity
+    b = ls.enumerate_blocks(CTX35, 2)[0]
+    classes = ls.block_classes(CTX35, b.s)
+    other = next(pc for s in ls.enumerate_semisimple(CTX35, 2)
+                 for pc in s.support() if pc not in classes)
+    bad, named, how = malformed_assignments(b.kappa, other)[fault]
+    with pytest.raises(ValueError) as exc:
+        getattr(ls, reader)(CTX35, b._replace(kappa=bad))
+    assert str(exc.value).endswith(f"{named!r} {how}"), exc.value
+
+
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2)])
 def test_weight_side_acts_on_each_block_once_per_generator(tmp_path, monkeypatch, p, f):
     # verify_block acts on its block once per generator and hands the
@@ -424,7 +440,7 @@ def test_degenerate_reconstruction_with_index_one_is_rejected(monkeypatch):
     xp = ls.x_plus_class(CTX35)
     e = CTX35.e
     wq = next(w for b in ls.enumerate_blocks(CTX35, 2)
-              if symbcomb.is_degenerate(b.core_of(xp))
+              if symbcomb.is_degenerate(testonly.core_of(b, xp))
               for w in ls.enumerate_weights_q(CTX35, b)
               if dict(w.q)[xp][:e] > dict(w.q)[xp][e:])
     monkeypatch.setattr(symbcomb, "_attach", lambda core, A, B, e, mode: core)
@@ -464,7 +480,7 @@ def test_deep_core_towers_end_to_end():
     ctx = CTX53
     xm = ls.x_minus_class(ctx)
     blocks = [b for b in ls.enumerate_blocks(ctx, 3)
-              if ls.weight_of(b, xm) == 3]
+              if testonly.weight_of(b, xm) == 3]
     assert blocks
     tables = {b: table_of(ctx, b) for b in ls.enumerate_blocks(ctx, 3)}
     bijection = bijection_of(t.pairs for t in tables.values())
@@ -475,7 +491,7 @@ def test_deep_core_towers_end_to_end():
         assert report["bijective"]
         assert report["n_ibr"] == report["n_weights_q"] == report["n_weights_k"]
         assert not bc.verify_equivariance_of_block(
-            ctx, tables[b].pairs, bijection, testonly.generators(ctx, b, [FIELD(1), DIAGONAL]), {})
+            ctx, tables[b].pairs, bijection, testonly.generators(ctx, b, [FIELD(1), DIAGONAL]))
         for wk in ks:
             for pc, fam in wk.k:
                 deep_seen += sum(1 for tw in fam if len(tw) > 1)
@@ -492,7 +508,7 @@ def test_e_three_modes_with_positive_weight(p, ell):
     assert ctx.e == 3
     blocks = ls.enumerate_blocks(ctx, 3)
     heavy = [b for b in blocks
-             if any(ls.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
+             if any(testonly.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert heavy
     tables = [table_of(ctx, b) for b in blocks]
     bijection = bijection_of(t.pairs for t in tables)
@@ -500,7 +516,7 @@ def test_e_three_modes_with_positive_weight(p, ell):
         r = bijection_report(ctx, t)
         assert r["bijective"] and r["n_ibr"] == r["n_weights_q"] == r["n_weights_k"]
         assert not bc.verify_equivariance_of_block(
-            ctx, t.pairs, bijection, testonly.generators(ctx, t.block, [FIELD(1), DIAGONAL]), {})
+            ctx, t.pairs, bijection, testonly.generators(ctx, t.block, [FIELD(1), DIAGONAL]))
 
 
 def test_field_equivariance_where_the_action_moves_blocks():
@@ -511,7 +527,7 @@ def test_field_equivariance_where_the_action_moves_blocks():
     blocks = ls.enumerate_blocks(ctx, 2)
     moved = [b for b in blocks if bc.act_on_block(ctx, FIELD(1), b) != b]
     heavy = [b for b in blocks
-             if any(ls.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
+             if any(testonly.weight_of(b, pc) > 0 for pc in ls.block_classes(ctx, b.s))]
     assert len(moved) > len(blocks) // 2 and heavy
     for b in blocks:
         r = bijection_report(ctx, table_of(ctx, b))
@@ -555,7 +571,7 @@ def test_label_moved_outside_the_rank_breaks_equivariance(monkeypatch):
     monkeypatch.setattr(bc, "act_on_ibr", stray)
     for b, t in tables.items():
         violations = bc.verify_equivariance_of_block(
-            CTX35, t.pairs, bijection, testonly.generators(CTX35, b, [FIELD(1), DIAGONAL]), {})
+            CTX35, t.pairs, bijection, testonly.generators(CTX35, b, [FIELD(1), DIAGONAL]))
         assert bool(violations) == (b == block)
         assert all(v["lhs"] is None for v in violations)
 
@@ -686,7 +702,7 @@ def test_k_label_fault_names_its_equivariance_witness(monkeypatch):
     for b in ls.enumerate_blocks(CTX35, 2):
         table = table_of(CTX35, b)
         violations = bc.verify_equivariance_of_k(
-            CTX35, table, testonly.generators(CTX35, b, [FIELD(1), DIAGONAL]), {})
+            CTX35, table, testonly.generators(CTX35, b, [FIELD(1), DIAGONAL]))
         moved = [wq for wq in table.k_images if act(CTX35, DIAGONAL, wq) != wq]
         assert [v["weight"] for v in violations] == [
             ls.weight_q_jsonable(CTX35, wq) for wq in moved]

@@ -369,9 +369,10 @@ def test_verify_acts_by_field_one_only_where_it_moves_labels(tmp_path, monkeypat
     if f == 1:
         assert not acted
     else:
-        # the K pass reads g(k_to_q(k)) off the Brauer pass: one action per Q label
+        # each pass acts on its own Q labels: the pairs' weights, then the
+        # Q forms of the K labels, as many as the Brauer labels
         assert acted["IBrLabel"] == acted["WeightLabelK"] == total
-        assert acted["WeightLabelQ"] == total
+        assert acted["WeightLabelQ"] == 2 * total
 
 
 def test_class_table_factor_search_is_shared_across_ell(tmp_path):

@@ -46,7 +46,7 @@ def test_semisimple_n1_q3():
     xm, xp = ls.x_minus_class(CTX35), ls.x_plus_class(CTX35)
     identity = [s for s in labels if s.entries == ((xm, 3),)]
     assert len(identity) == 1
-    minus_one = [s for s in labels if s.mult(xp) == 2]
+    minus_one = [s for s in labels if testonly.mult(s, xp) == 2]
     assert len(minus_one) == 2
     assert {s.eta_plus for s in minus_one} == {1, -1}
     assert len(labels) == 4
@@ -73,8 +73,8 @@ def test_semisimple_counts_vs_oracle(ctx, n):
         dim = sum(m * pc.deg for pc, m in s.entries)
         assert dim == 2 * n + 1
         xm = ls.x_minus_class(ctx)
-        assert s.mult(xm) % 2 == 1
-        assert s.mult(ls.x_plus_class(ctx)) % 2 == 0
+        assert testonly.mult(s, xm) % 2 == 1
+        assert testonly.mult(s, ls.x_plus_class(ctx)) % 2 == 0
         assert all(ffpoly.is_ell_prime_order(pc, ctx) for pc, _ in s.entries)
 
 
@@ -97,21 +97,21 @@ def test_weight_of_examples():
     xm, xp = ls.x_minus_class(CTX35), ls.x_plus_class(CTX35)
     for b in blocks:
         for pc in ls.block_classes(CTX35, b.s):
-            w = ls.weight_of(b, pc)
-            core = b.core_of(pc)
+            w = testonly.weight_of(b, pc)
+            core = testonly.core_of(b, pc)
             if pc.family != "F0":
-                assert b.s.mult(pc) == sum(core) + pc.e_gamma * w
+                assert testonly.mult(b.s, pc) == sum(core) + pc.e_gamma * w
             elif pc == xp:
-                assert b.s.mult(pc) == 2 * symbcomb.rank(core) + 2 * CTX35.e * w
+                assert testonly.mult(b.s, pc) == 2 * symbcomb.rank(core) + 2 * CTX35.e * w
             else:
-                assert b.s.mult(pc) == 2 * symbcomb.rank(core) + 1 + 2 * CTX35.e * w
+                assert testonly.mult(b.s, pc) == 2 * symbcomb.rank(core) + 1 + 2 * CTX35.e * w
     # identity class of SO_5(3): m at X-1 is 5; the three cocores of the
     # rank-2 odd-defect symbols carry weights 0, 0 and 1
     identity = [b for b in blocks if len(b.s.entries) == 1]
-    ws = sorted(ls.weight_of(b, xm) for b in identity)
+    ws = sorted(testonly.weight_of(b, xm) for b in identity)
     assert ws == [0, 0, 1]
-    heavy = [b for b in identity if ls.weight_of(b, xm) == 1]
-    assert heavy[0].core_of(xm) == LSymbol((0,), ())
+    heavy = [b for b in identity if testonly.weight_of(b, xm) == 1]
+    assert testonly.core_of(heavy[0], xm) == LSymbol((0,), ())
     assert len(ls.enumerate_ibr(CTX35, heavy[0])) == 4
 
 
@@ -123,8 +123,8 @@ def test_enumerate_blocks_smallest_case():
     # the X+1-free classes have degenerate empty kappa at X+1
     xp = ls.x_plus_class(CTX35)
     for b in blocks:
-        if b.s.mult(xp) == 0:
-            assert b.core_of(xp) == LSymbol()
+        if testonly.mult(b.s, xp) == 0:
+            assert testonly.core_of(b, xp) == LSymbol()
             assert b.i_collapsed
 
 
@@ -144,8 +144,8 @@ def test_enumerate_ibr_counts_vs_filter_oracle():
         # by the computed core
         count = 1
         for pc in ls.block_classes(CTX35, b.s):
-            m = b.s.mult(pc)
-            core = b.core_of(pc)
+            m = testonly.mult(b.s, pc)
+            core = testonly.core_of(b, pc)
             if pc.family != "F0":
                 vals = [p for p in partcomb.enumerate_partitions(m)
                         if partcomb.e_core(p, pc.e_gamma) == core]
@@ -188,7 +188,7 @@ def test_weights_q_counts_product_formula():
         got = ls.enumerate_weights_q(CTX35, b)
         expect = 1
         for pc in ls.block_classes(CTX35, b.s):
-            w = ls.weight_of(b, pc)
+            w = testonly.weight_of(b, pc)
             expect *= len(partcomb.enumerate_tuples(ls.branch_count(pc), w))
         assert len(got) == expect
         assert len(set(got)) == len(got)
@@ -209,7 +209,7 @@ def test_weights_k_matches_q_and_round_trip():
 def test_all_w_zero_block_has_singletons():
     blocks = ls.enumerate_blocks(CTX35, 1)
     for b in blocks:
-        ws = [ls.weight_of(b, pc) for pc in ls.block_classes(CTX35, b.s)]
+        ws = [testonly.weight_of(b, pc) for pc in ls.block_classes(CTX35, b.s)]
         if all(w == 0 for w in ws):
             assert len(ls.enumerate_ibr(CTX35, b)) == 1
             assert len(ls.enumerate_weights_q(CTX35, b)) == 1
@@ -257,7 +257,7 @@ def test_radical_shape_and_audit():
         # each multiplicity is the core's share plus beta * e_Gamma per unit
         # of weight, and the divisors fill dimension 2n + 1
         for pc, w in weights:
-            assert b.s.mult(pc) == (ls._core_share(pc, b.core_of(pc))
+            assert testonly.mult(b.s, pc) == (ls._core_share(pc, testonly.core_of(b, pc))
                                     + w * ls.branch_count(pc))
         assert sum(m * pc.deg for pc, m in b.s.entries) == 2 * 2 + 1
         for wk in ls.enumerate_weights_k(CTX35, b):
@@ -266,7 +266,7 @@ def test_radical_shape_and_audit():
             for pc, d, br, t in shape:
                 total[pc] = total.get(pc, 0) + CTX35.ell ** d * t
             for pc in ls.block_classes(CTX35, b.s):
-                assert total.get(pc, 0) == ls.weight_of(b, pc)
+                assert total.get(pc, 0) == testonly.weight_of(b, pc)
             assert ls.audit_weight_label(ls.k_to_q(CTX35, wk), weights)
         json.dumps(ls.block_jsonable(CTX35, b))
 
@@ -280,10 +280,10 @@ def test_eta_split_gives_disjoint_blocks():
         xp = ls.x_plus_class(ctx)
         by_sign = {}
         for b in ls.enumerate_blocks(ctx, n):
-            if b.s.mult(xp) == 0:
+            if testonly.mult(b.s, xp) == 0:
                 continue
             key = (b.s.entries, b.s.eta_plus)
-            by_sign.setdefault(key, set()).add(b.core_of(xp))
+            by_sign.setdefault(key, set()).add(testonly.core_of(b, xp))
         seen_pairs = 0
         for (entries, eta), cores in by_sign.items():
             other = by_sign.get((entries, -eta))
@@ -365,8 +365,42 @@ def test_labels_list_their_classes_in_block_class_order(p, f, ell, n):
             act = testonly.act_on_weight if weight else bc.act_on_block
             for y in (x, act(ctx, FIELD(1), x), act(ctx, DIAGONAL, x)):
                 classes = tuple(pc for pc, _ in y[1])
-                assert classes == ls.block_classes(ctx, y.block.s if weight else y.s), y
+                assert classes == testonly.classes_of(ctx, y.block.s if weight else y.s), y
                 assert classes[0] == xp
+
+
+@pytest.mark.parametrize("p,f,ell,n", [(p, 1, ell, n) for n, p, ell in CONFIGS]
+                         + [(3, 2, 5, 2), (5, 1, 3, 3)])
+def test_class_walk_matches_the_lookups(monkeypatch, p, f, ell, n):
+    # the package walks each label's classes and multiplicities in step with
+    # its kappa; the references look every multiplicity and core up.  Both
+    # kinds of label occur: with X+1 in the support and without it
+    ctx = make_context(p, f, ell)
+    labels = ls.enumerate_semisimple(ctx, n)
+    assert {ls.x_plus_class(ctx) in s.support() for s in labels} == {True, False}
+    keys, table = [], ls._component_table
+    monkeypatch.setattr(ls, "_component_table", lambda *key: keys.append(key) or table(*key))
+    blocks = ls.enumerate_blocks(ctx, n)
+    assert keys == [key for s in labels for key in testonly.component_keys(ctx, s)]
+    for s in labels:
+        assert ls.semisimple_ibr_count(ctx, s) == testonly.semisimple_ibr_count(ctx, s)
+    for b in blocks:
+        assert ls.block_weights.__wrapped__(ctx, b) == testonly.block_weights(ctx, b)
+        keys.clear()
+        ls.enumerate_ibr(ctx, b)
+        assert keys == testonly.component_keys(ctx, b.s)
+
+
+def test_core_that_leaves_no_whole_weight_is_refused():
+    # a core at X-1 of rank 2 takes 5 of a multiplicity of 1
+    b = ls.enumerate_blocks(CTX35, 1)[0]
+    xm = ls.x_minus_class(CTX35)
+    assert testonly.mult(b.s, xm) == 1
+    bad = b._replace(kappa=tuple((pc, LSymbol((2,), ()) if pc == xm else core)
+                                 for pc, core in b.kappa))
+    with pytest.raises(ValueError) as exc:
+        ls.block_weights(CTX35, bad)
+    assert str(exc.value).startswith(f"no nonnegative integer weight at {xm!r}: m=1"), exc.value
 
 
 @pytest.mark.parametrize("p,f,ell,n", [(3, 1, 5, 3), (3, 2, 5, 2), (3, 1, 11, 3)])

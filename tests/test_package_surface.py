@@ -75,6 +75,18 @@ def test_no_assert_statement():
     assert found == []
 
 
+def test_no_class_is_looked_up_by_scan():
+    # a label's classes are walked in step with labelspace.class_mults; the
+    # lookups one class at a time are gone, and nothing defines or calls them
+    lookups = {"_value_at", "mult", "core_of"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(spbaw.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if getattr(node, "name", None) in lookups or getattr(node, "id", None) in lookups
+             or isinstance(node, ast.Attribute) and node.attr in lookups]
+    assert found == []
+
+
 @pytest.mark.parametrize("call", [
     "gf.GF(9, 1)",
     "fieldctx.order_mod(2, 9)",
@@ -82,6 +94,10 @@ def test_no_assert_statement():
     "partcomb.partition_of_beta((3, 3, 1))",
     "symbcomb.sym_core_quotient(symbcomb.LSymbol((2, 0), (1,)), 2, 'bogus')",
     "gf.GF(3, 2).pow(2, -1)",
+    # a core at X-1 of rank 2 takes 5 of a multiplicity of 1
+    "labelspace.block_weights(ctx := fieldctx.make_context(3, 1, 5),"
+    " (b := labelspace.enumerate_blocks(ctx, 1)[0])._replace("
+    "kappa=b.kappa[:1] + ((b.kappa[1][0], symbcomb.LSymbol((2,), ())),)))",
 ])
 def test_bad_argument_is_refused_under_python_O(call):
     # each call once returned a wrong value, or never returned, under -O
@@ -89,7 +105,7 @@ def test_bad_argument_is_refused_under_python_O(call):
 import sys
 if __debug__:
     sys.exit(3)
-from spbaw import fieldctx, gf, partcomb, symbcomb
+from spbaw import fieldctx, gf, labelspace, partcomb, symbcomb
 try:
     print("returned", repr({call}))
 except ValueError as exc:

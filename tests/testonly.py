@@ -101,6 +101,46 @@ def block_of_ibr(ctx, label):
     return ls.BlockLabel(s=label.s, kappa=kappa, i=label.j, i_collapsed=False)
 
 
+def mult(s, pc):
+    """The multiplicity at pc of a semisimple label, looked up: 0 off its
+    support."""
+    return dict(s.entries).get(pc, 0)
+
+
+def core_of(b, pc):
+    """The core at pc of a block label, looked up in its kappa."""
+    return dict(b.kappa).get(pc)
+
+
+def weight_of(b, pc):
+    """ls.weight_of at pc with its multiplicity and core looked up."""
+    return ls.weight_of(pc, mult(b.s, pc), core_of(b, pc))
+
+
+def classes_of(ctx, s):
+    """The support of s and X+1, sorted: ls.block_classes, found apart from
+    the package's walk."""
+    return tuple(sorted(set(s.support()) | {ls.x_plus_class(ctx)}))
+
+
+def block_weights(ctx, b):
+    """ls.block_weights with every multiplicity and core looked up."""
+    return tuple((pc, weight_of(b, pc)) for pc in classes_of(ctx, b.s))
+
+
+def component_keys(ctx, s):
+    """The ls._component_key of each class of s, its multiplicity looked up."""
+    return [ls._component_key(ctx, s, pc, mult(s, pc)) for pc in classes_of(ctx, s)]
+
+
+def semisimple_ibr_count(ctx, s):
+    """ls.semisimple_ibr_count with every multiplicity looked up."""
+    count = 1
+    for key in component_keys(ctx, s):
+        count *= ls._component_count(key)
+    return count
+
+
 def universe_size(ctx, n):
     """len(ls.enumerate_ibr_universe(ctx, n)), counted."""
     return sum(ls.semisimple_ibr_count(ctx, s) for s in ls.enumerate_semisimple(ctx, n))
